@@ -137,13 +137,25 @@ impl Placement {
 
     /// Imbalance factor: makespan / mean load. 1.0 is perfect balance.
     pub fn imbalance(&self, costs: &[f64]) -> f64 {
-        let loads = self.rank_loads(costs);
+        self.imbalance_into(costs, &mut Vec::new())
+    }
+
+    /// [`Placement::imbalance`] with the per-rank loads staged in the
+    /// caller's reused `loads` buffer (no allocation once it has grown to
+    /// `num_ranks`).
+    pub fn imbalance_into(&self, costs: &[f64], loads: &mut Vec<f64>) -> f64 {
+        assert_eq!(costs.len(), self.ranks.len());
+        loads.clear();
+        loads.resize(self.num_ranks, 0.0);
+        for (b, &r) in self.ranks.iter().enumerate() {
+            loads[r as usize] += costs[b];
+        }
         let total: f64 = loads.iter().sum();
         if total == 0.0 {
             return 1.0;
         }
         let mean = total / self.num_ranks as f64;
-        loads.into_iter().fold(0.0f64, f64::max) / mean
+        loads.iter().copied().fold(0.0f64, f64::max) / mean
     }
 
     /// Is the assignment contiguous in SFC order — does each rank own one

@@ -17,7 +17,8 @@ pub struct TriggerContext {
     /// Did the mesh refine/coarsen this step?
     pub mesh_changed: bool,
     /// Current imbalance factor (makespan / mean load) under the current
-    /// placement and newest cost estimates.
+    /// placement and newest cost estimates. Callers may skip computing it
+    /// (and pass NaN) when [`RebalanceTrigger::reads_imbalance`] is false.
     pub imbalance: f64,
     /// Live synchronization share of the previous step —
     /// `sync / (compute + comm + sync)` read back from the telemetry
@@ -47,6 +48,11 @@ pub enum RebalanceTrigger {
 }
 
 impl RebalanceTrigger {
+    /// Does [`Self::should_rebalance`] read [`TriggerContext::imbalance`]?
+    pub fn reads_imbalance(&self) -> bool {
+        matches!(self, RebalanceTrigger::MeshChangeOrImbalance(_))
+    }
+
     /// Should redistribution run now?
     pub fn should_rebalance(&self, ctx: &TriggerContext) -> bool {
         match *self {

@@ -7,7 +7,10 @@
 //!    rank records are all pooled, and
 //! 3. a no-op `AmrMesh::adapt` pass (all blocks tagged `Keep`) performs no
 //!    heap allocation — tag staging and coarsen grouping are pooled, and the
-//!    identity fast path never touches the block index.
+//!    identity fast path never touches the block index, and
+//! 4. a warm `MacroSim` step on a static mesh performs no heap allocation,
+//!    under both the mesh-change trigger and the imbalance trigger (whose
+//!    load estimate is staged in reused scratch), at 1 and 2 threads.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
@@ -15,8 +18,9 @@
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::{Baseline, Cdp, ChunkedCdp, Cplx, Lpt, PlacementPolicy};
+use amr_core::trigger::RebalanceTrigger;
 use amr_sim::mpi::{Op, RankStats};
-use amr_sim::{MpiWorld, NetworkConfig, Topology};
+use amr_sim::{MacroSim, MpiWorld, NetworkConfig, SimConfig, Topology, Workload, WorkloadStep};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -241,4 +245,66 @@ fn steady_state_rebalance_is_allocation_free() {
         "no-op adapt allocated {min_delta} times after warm-up"
     );
     assert_eq!(mesh.num_blocks(), blocks_before);
+
+    // ---- Macro-simulator step steady state ----------------------------------
+    // The workload stamps the allocation counter at every `advance(step)`,
+    // so the difference between consecutive stamps is one whole simulated
+    // step (exchange kernels, collective, accounting, trigger). Unsampled
+    // telemetry, no remesh, and a trigger threshold that never fires keep
+    // every step after the warm-up on the same path.
+    for trigger in [
+        RebalanceTrigger::OnMeshChange,
+        RebalanceTrigger::MeshChangeOrImbalance(1.0e9),
+    ] {
+        for threads in [1, 2] {
+            let mut cfg = SimConfig::tuned(16);
+            cfg.topology = Topology::new(16, 4);
+            cfg.telemetry_sampling = 1_000_000;
+            cfg.threads = threads;
+            let mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 2));
+            let costs = (0..mesh.num_blocks())
+                .map(|i| 1.0e6 * (1.0 + 0.3 * (i % 7) as f64))
+                .collect();
+            let steps = 24;
+            let mut w = StampingWorkload {
+                mesh,
+                costs,
+                steps,
+                stamps: Vec::with_capacity(steps as usize),
+            };
+            MacroSim::try_new(cfg)
+                .expect("valid config")
+                .try_run(&mut w, &Lpt, trigger)
+                .expect("run completes");
+            let steady: Vec<u64> = w.stamps[4..].windows(2).map(|p| p[1] - p[0]).collect();
+            assert!(
+                steady.iter().all(|&d| d == 0),
+                "{trigger:?} at {threads} threads: warm steps allocated {steady:?}"
+            );
+        }
+    }
+}
+
+/// Static mesh and costs; records the allocation count on every step.
+struct StampingWorkload {
+    mesh: amr_mesh::AmrMesh,
+    costs: Vec<f64>,
+    steps: u64,
+    stamps: Vec<u64>,
+}
+
+impl Workload for StampingWorkload {
+    fn mesh(&self) -> &amr_mesh::AmrMesh {
+        &self.mesh
+    }
+    fn advance(&mut self, _step: u64) -> WorkloadStep {
+        self.stamps.push(alloc_count());
+        WorkloadStep::default()
+    }
+    fn block_compute_ns(&self) -> &[f64] {
+        &self.costs
+    }
+    fn total_steps(&self) -> u64 {
+        self.steps
+    }
 }

@@ -5,11 +5,11 @@
 //! simulator instead models all ranks in one process, which historically made
 //! it strictly serial. [`SimCommunicator`] is the seam that lets the
 //! embarrassingly-parallel macrosim phases (epoch fill, per-rank service/flux
-//! accumulation, the fused ready/finish pass, shard rebuilds) execute on real
+//! accumulation, the ready/finish pass, shard rebuilds) execute on real
 //! threads while keeping a provable determinism story:
 //!
-//! * [`SerialCommunicator`] runs every task inline on the caller — the
-//!   oracle against which parallel runs are compared bit for bit.
+//! * [`SerialCommunicator`] runs every task inline on the caller. The
+//!   simulator uses it at `threads == 1`, where one task owns every rank.
 //! * [`PooledCommunicator`] dispatches onto a persistent
 //!   [`WorkerPool`](amr_mesh::pool::WorkerPool) sized by
 //!   `SimConfig::threads`. The pool is owned by the simulator (not the
@@ -20,9 +20,10 @@
 //! Determinism contract: tasks dispatched through a communicator must follow
 //! the *slot-ownership* rule (see `DESIGN.md` §14) — every mutable slot is
 //! written by exactly one task, and per-slot floating-point accumulation
-//! happens in the same order the serial loop would use. Under that rule the
-//! thread count and interleaving are unobservable, which is what the
-//! `parallel_runs_are_bitwise_identical_to_serial` property test asserts.
+//! happens in one fixed order. Under that rule the thread count and
+//! interleaving are unobservable, which is what the
+//! `parallel_runs_are_bitwise_identical_to_serial` property test and the
+//! golden virtual-time test assert.
 //!
 //! This module is policed by the workspace `disallowed_types` clippy guard:
 //! no `Rc`, `RefCell`, or `Cell` — state crossing a dispatch boundary is
@@ -52,9 +53,7 @@ pub trait SimCommunicator {
     }
 }
 
-/// Inline execution on the calling thread, in index order. This is the
-/// serial oracle: a parallel kernel driven by `SerialCommunicator` must be
-/// byte-for-byte the serial algorithm.
+/// Inline execution on the calling thread, in index order.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SerialCommunicator;
 
@@ -111,6 +110,56 @@ impl SimCommunicator for PooledCommunicator {
 
     fn run<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
         self.pool.run(tasks, f);
+    }
+}
+
+/// The macro-simulator's communicator: [`SerialCommunicator`] at one
+/// thread — the single-owner case of every kernel in `crate::par` — and a
+/// [`PooledCommunicator`] above that.
+#[derive(Debug)]
+pub(crate) enum SimExec {
+    Serial(SerialCommunicator),
+    Pooled(PooledCommunicator),
+}
+
+impl SimExec {
+    pub(crate) fn new(threads: usize) -> SimExec {
+        if threads > 1 {
+            SimExec::Pooled(PooledCommunicator::new(threads))
+        } else {
+            SimExec::Serial(SerialCommunicator)
+        }
+    }
+
+    /// The pool, for phases with pool-native entry points.
+    pub(crate) fn pooled(&self) -> Option<&PooledCommunicator> {
+        match self {
+            SimExec::Serial(_) => None,
+            SimExec::Pooled(p) => Some(p),
+        }
+    }
+}
+
+impl SimCommunicator for SimExec {
+    fn threads(&self) -> usize {
+        match self {
+            SimExec::Serial(c) => c.threads(),
+            SimExec::Pooled(c) => c.threads(),
+        }
+    }
+
+    fn run_with<S: Send, F: Fn(usize, &mut S) + Sync>(&self, states: &mut [S], f: F) {
+        match self {
+            SimExec::Serial(c) => c.run_with(states, f),
+            SimExec::Pooled(c) => c.run_with(states, f),
+        }
+    }
+
+    fn run<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
+        match self {
+            SimExec::Serial(c) => c.run(tasks, f),
+            SimExec::Pooled(c) => c.run(tasks, f),
+        }
     }
 }
 

@@ -24,7 +24,7 @@
 //! the full telemetry-driven placement loop of the paper.
 
 use crate::collectives::{self, CollectiveAlgo, CollectiveSelect};
-use crate::exec::{PooledCommunicator, SimCommunicator};
+use crate::exec::{SimCommunicator, SimExec};
 use crate::faults::{FaultResponse, FaultTimeline};
 use crate::health::blacklist_and_rehost;
 use crate::network::NetworkConfig;
@@ -41,7 +41,7 @@ use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
     Counter as TraceCounter, Gauge as TraceGauge, MetricsRegistry, TraceHandle, TracePhase,
 };
-use amr_telemetry::{Collector, EventTable, Phase};
+use amr_telemetry::{Collector, EventTable, Phase, WorkerLane};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -154,16 +154,15 @@ pub struct SimConfig {
     /// resident global [`NeighborGraph`]. Policies that ignore edge weights
     /// see bit-identical virtual time with this on or off.
     pub observe_exchange_bytes: bool,
-    /// OS threads the in-process simulator may use. `1` (the default) takes
-    /// the original serial path, untouched. Any value > 1 spawns a
-    /// simulator-owned worker pool and executes the embarrassingly-parallel
-    /// phases — epoch fill, compute scatter, the fused ready/finish pass,
-    /// and (sharded runs) shard rebuilds — on real threads under the
-    /// slot-ownership rule of [`crate::par`], which keeps virtual time
-    /// **bitwise identical** to the serial run at any thread count. The
-    /// pool is sized exactly `threads`, not the host's core count, so the
-    /// parallel code paths are genuinely exercised (timesharing if need be)
-    /// even on small machines.
+    /// OS threads the in-process simulator may use. `1` (the default) runs
+    /// every kernel inline as a single task that owns every rank. Larger
+    /// values spawn a simulator-owned worker pool and execute the same
+    /// kernels — epoch fill, compute scatter, ready/finish, and (sharded
+    /// runs) shard rebuilds — on real threads under the slot-ownership rule
+    /// of [`crate::par`], which keeps virtual time **bitwise identical** at
+    /// any thread count. The pool is sized exactly `threads`, not the
+    /// host's core count, so the parallel code paths are genuinely
+    /// exercised (timesharing if need be) even on small machines.
     pub threads: usize,
     /// Which allreduce algorithm closes each step's synchronization: a fixed
     /// [`CollectiveAlgo`] (the default pins the legacy binomial tree,
@@ -216,7 +215,7 @@ impl SimConfig {
             .map_err(|e| format!("network.{e}"))?;
         self.faults.validate().map_err(|e| format!("faults: {e}"))?;
         if self.threads == 0 {
-            return Err("threads must be >= 1 (1 = serial path)".to_string());
+            return Err("threads must be >= 1 (1 = run inline)".to_string());
         }
         if self.observe_exchange_bytes && self.num_shards > 0 {
             return Err(
@@ -296,7 +295,7 @@ impl RunReport {
 /// store *global* neighbor ids in the same per-row order as the flat graph,
 /// and shards tile the SFC index space contiguously, so both variants visit
 /// identical `(block, neighbor)` pairs in identical order — the float
-/// accumulation in [`MacroSim::fill_epoch`] is bit-for-bit the same.
+/// accumulation in [`par::fill_epoch`] is bit-for-bit the same.
 #[derive(Clone, Copy)]
 pub(crate) enum GraphView<'a> {
     Flat(&'a NeighborGraph),
@@ -335,8 +334,11 @@ pub(crate) struct CommEpoch {
     pub(crate) service_ns: Vec<f64>,
     /// Intra-rank memcpy time per rank.
     pub(crate) memcpy_ns: Vec<f64>,
-    /// Ranks that send to each rank (for the arrival/wait model).
-    pub(crate) senders: Vec<Vec<u32>>,
+    /// Ranks that send to each rank (for the arrival/wait model), sorted
+    /// and deduplicated, as CSR: rank `r`'s senders are
+    /// `senders[sender_offsets[r]..sender_offsets[r + 1]]`.
+    pub(crate) sender_offsets: Vec<u32>,
+    pub(crate) senders: Vec<u32>,
     /// Per-round message counts by class.
     pub(crate) intra_msgs: u64,
     pub(crate) local_msgs: u64,
@@ -364,9 +366,8 @@ pub(crate) struct CommEpoch {
 
 impl CommEpoch {
     /// Clear all aggregates and size the per-rank vectors for `r` ranks,
-    /// keeping every buffer's capacity (epochs are refilled in place; the
-    /// nested `senders` rows likewise keep theirs).
-    fn reset(&mut self, r: usize) {
+    /// keeping every buffer's capacity (epochs are refilled in place).
+    pub(crate) fn reset(&mut self, r: usize) {
         for v in [
             &mut self.dispatch_ns,
             &mut self.service_ns,
@@ -382,15 +383,19 @@ impl CommEpoch {
         self.blocks_per_rank.clear();
         self.blocks_per_rank.resize(r, 0);
         self.link_bytes.clear();
-        self.senders.resize_with(r, Vec::new);
-        self.senders.truncate(r);
-        for s in &mut self.senders {
-            s.clear();
-        }
+        self.sender_offsets.clear();
+        self.sender_offsets.resize(r + 1, 0);
+        self.senders.clear();
         self.intra_msgs = 0;
         self.local_msgs = 0;
         self.remote_msgs = 0;
         self.flux_msgs = 0;
+    }
+
+    /// The deduplicated ranks that send to `rank`.
+    #[inline]
+    pub(crate) fn senders_of(&self, rank: usize) -> &[u32] {
+        &self.senders[self.sender_offsets[rank] as usize..self.sender_offsets[rank + 1] as usize]
     }
 }
 
@@ -408,11 +413,11 @@ pub struct MacroSim {
     /// Optional trace handle shared with the engine (and, by callers, the
     /// mesh): per-step virtual spans plus pipeline counters/gauges.
     trace: Option<TraceHandle>,
-    /// Worker pool behind the parallel phase kernels; `None` ⇔
-    /// `config.threads == 1` ⇔ the original serial path runs. Owned by the
-    /// simulator (not the process-global pool) so workers persist across
-    /// steps and runs — steady-state dispatch allocates nothing.
-    exec: Option<PooledCommunicator>,
+    /// Communicator the phase kernels run on: inline at
+    /// `config.threads == 1`, otherwise a worker pool owned by the simulator
+    /// (not the process-global pool) so workers persist across steps and
+    /// runs — steady-state dispatch allocates nothing.
+    exec: SimExec,
     /// Observed exchange-byte accumulator (active only with
     /// `config.observe_exchange_bytes`); owned by the simulator so its
     /// buffers stay warm across runs.
@@ -447,7 +452,7 @@ impl MacroSim {
             .validate()
             .map_err(|e| format!("invalid SimConfig: {e}"))?;
         let seed = config.seed;
-        let exec = (config.threads > 1).then(|| PooledCommunicator::new(config.threads));
+        let exec = SimExec::new(config.threads);
         Ok(MacroSim {
             config,
             rng: StdRng::seed_from_u64(seed),
@@ -584,7 +589,7 @@ impl MacroSim {
             None
         };
         let mut sharded_mesh: Option<ShardedMesh> = if cfg.num_shards > 0 {
-            Some(match &self.exec {
+            Some(match self.exec.pooled() {
                 // Shard builds distribute over the simulator's own pool; the
                 // rows are pure functions of (tree, range), so chunking does
                 // not change their contents.
@@ -649,6 +654,8 @@ impl MacroSim {
         let mut compute = vec![0.0f64; r];
         let mut ready = vec![0.0f64; r];
         let mut finish = vec![0.0f64; r];
+        let mut send_arrival = vec![0.0f64; r];
+        let mut rank_loads: Vec<f64> = Vec::new();
         let mut rank_mult = vec![0.0f64; r];
         let mut measured: Vec<f64> = Vec::new();
         let mut arrivals: Vec<u64> = Vec::with_capacity(r);
@@ -676,7 +683,7 @@ impl MacroSim {
                     // flush pending observations against the dying graph and
                     // stage its layout before the patch rewrites it...
                     if observe {
-                        match &self.exec {
+                        match self.exec.pooled() {
                             Some(comm) => {
                                 self.ledger
                                     .flush_on(comm, g, spec, dim, &mut self.ledger_partials)
@@ -705,7 +712,7 @@ impl MacroSim {
                     // path's fallback.
                     let patched = {
                         let _span = trace.as_ref().map(|t| t.span(TracePhase::GraphPatch));
-                        match &self.exec {
+                        match self.exec.pooled() {
                             // The incremental splice stays serial either way
                             // (a single in-order pass); only the full-rebuild
                             // fallback fans out over the pool.
@@ -754,9 +761,17 @@ impl MacroSim {
                     );
                 }
             }
-            let imbalance = match self.engine.placement() {
-                Some(p) if p.num_blocks() == cost_model.len() => p.imbalance(cost_model.costs()),
-                _ => f64::INFINITY,
+            // Only the imbalance trigger reads the estimate; every other
+            // trigger skips the O(n + r) load pass.
+            let imbalance = if !trigger.reads_imbalance() {
+                f64::NAN
+            } else {
+                match self.engine.placement() {
+                    Some(p) if p.num_blocks() == cost_model.len() => {
+                        p.imbalance_into(cost_model.costs(), &mut rank_loads)
+                    }
+                    _ => f64::INFINITY,
+                }
             };
             let ctx = TriggerContext {
                 step,
@@ -788,7 +803,7 @@ impl MacroSim {
                 // leaves their virtual time bit-identical (pinned by test).
                 let edge_weights = if observe {
                     let g = flat_graph.as_ref().expect("flat path");
-                    match &self.exec {
+                    match self.exec.pooled() {
                         Some(comm) => {
                             self.ledger
                                 .flush_on(comm, g, spec, dim, &mut self.ledger_partials)
@@ -867,8 +882,6 @@ impl MacroSim {
             let block_ns = workload.block_compute_ns();
             let placement = self.engine.placement().expect("engine holds a placement");
             debug_assert_eq!(block_ns.len(), placement.num_blocks());
-            compute.iter_mut().for_each(|c| *c = 0.0);
-            measured.clear();
             measured.resize(block_ns.len(), 0.0);
             // Per-rank multiplier for this step (node fault + jitter),
             // sampled from the timeline at the node's *physical* machine —
@@ -887,30 +900,20 @@ impl MacroSim {
                     }
                 }
             }
-            match &self.exec {
-                // Per-block collector records pin the per-block-telemetry
-                // path to the owning thread, so that (rare, heavy) mode
-                // keeps the serial scatter.
-                Some(comm) if !cfg.per_block_telemetry => {
-                    par::compute_phase_parallel(
-                        comm,
-                        block_ns,
-                        placement,
-                        &rank_mult,
-                        &mut compute,
-                        &mut measured,
-                    );
-                }
-                _ => {
-                    for (b, &base) in block_ns.iter().enumerate() {
-                        let rank = placement.rank_of(b) as usize;
-                        let t = base * rank_mult[rank];
-                        compute[rank] += t;
-                        measured[b] = t;
-                        if cfg.per_block_telemetry {
-                            collector.record_block(rank as u32, b as u32, Phase::Compute, t as u64);
-                        }
-                    }
+            par::compute_phase(
+                &self.exec,
+                block_ns,
+                placement,
+                &rank_mult,
+                &mut compute,
+                &mut measured,
+            );
+            // Per-block records go through the collector on this thread, in
+            // block order, after the scatter.
+            if cfg.per_block_telemetry && collector.observes_step() {
+                for (b, &t) in measured.iter().enumerate() {
+                    let rank = placement.rank_of(b);
+                    collector.record_block(rank, b as u32, Phase::Compute, t as u64);
                 }
             }
             // With capacities applied, deflate observations back to
@@ -928,60 +931,18 @@ impl MacroSim {
             // Per-rank NIC slowdowns (1.0 on healthy timelines — multiplying
             // by 1.0 is bit-exact) stretch the fabric-facing terms: dispatch,
             // service, flux, and the transfer tail. Memcpys don't ride the NIC.
-            let xs = cfg.exchanges_per_step as f64;
-            if let Some(comm) = &self.exec {
-                // A rank's finish reads only its own ready plus other ranks'
-                // compute/dispatch, so the two loops fuse per owned rank.
-                par::ready_finish_parallel(
-                    comm,
-                    xs,
-                    cfg.send_coupling,
-                    cfg.overlap_efficiency,
-                    &epoch,
-                    &compute,
-                    &nic_slow,
-                    &mut ready,
-                    &mut finish,
-                );
-            } else {
-                for rank in 0..r {
-                    // Congestion terms are exactly 0.0 while the credit
-                    // model is disabled, so adding them is bit-exact for the
-                    // default stacks.
-                    ready[rank] = compute[rank]
-                        + xs * (epoch.dispatch_ns[rank] * nic_slow[rank] + epoch.memcpy_ns[rank])
-                        + epoch.flux_ns[rank] * nic_slow[rank]
-                        + xs * epoch.cong_send_ns[rank] * nic_slow[rank];
-                }
-                for rank in 0..r {
-                    // Last inbound message ~ slowest sender's dispatch + tail.
-                    // With the tuned sends-first schedule, dispatch times are
-                    // only weakly coupled to the sender's compute
-                    // (§IV-B/§IV-D).
-                    let mut arrival = 0.0f64;
-                    for &s in &epoch.senders[rank] {
-                        let a = cfg.send_coupling * compute[s as usize]
-                            + xs * epoch.dispatch_ns[s as usize] * nic_slow[s as usize]
-                            + xs * epoch.cong_send_ns[s as usize] * nic_slow[s as usize];
-                        if a > arrival {
-                            arrival = a;
-                        }
-                    }
-                    if !epoch.senders[rank].is_empty() {
-                        arrival += epoch.transfer_tail_ns[rank] * nic_slow[rank];
-                    }
-                    // Async masking: independent work from co-resident blocks
-                    // hides part of the arrival wait (§IV-D).
-                    let raw_wait = (arrival - ready[rank]).max(0.0);
-                    let nb = epoch.blocks_per_rank[rank].max(1) as f64;
-                    let masking = cfg.overlap_efficiency * (1.0 - 1.0 / nb);
-                    let f = ready[rank]
-                        + raw_wait * (1.0 - masking)
-                        + xs * epoch.service_ns[rank] * nic_slow[rank]
-                        + xs * epoch.cong_recv_ns[rank] * nic_slow[rank];
-                    finish[rank] = f;
-                }
-            }
+            par::ready_finish(
+                &self.exec,
+                cfg.exchanges_per_step as f64,
+                cfg.send_coupling,
+                cfg.overlap_efficiency,
+                &epoch,
+                &compute,
+                &nic_slow,
+                &mut send_arrival,
+                &mut ready,
+                &mut finish,
+            );
 
             // --- Synchronization ------------------------------------------
             // Timestep control is a blocking allreduce over a small vector
@@ -1036,6 +997,10 @@ impl MacroSim {
             total_ns += step_total;
 
             // --- Accounting ------------------------------------------------
+            // Steps the collector neither keeps nor tracks skip the
+            // per-rank record calls.
+            let record = collector.observes_step();
+            let msgs_per_rank = (epoch.local_msgs + epoch.remote_msgs) as u32 / r as u32;
             let mut step_phases = PhaseBreakdown::default();
             for rank in 0..r {
                 let comm = finish[rank] - compute[rank];
@@ -1043,6 +1008,9 @@ impl MacroSim {
                 step_phases.compute_ns += compute[rank];
                 step_phases.comm_ns += comm;
                 step_phases.sync_ns += sync;
+                if !record {
+                    continue;
+                }
                 collector.record_rank(rank as u32, Phase::Compute, compute[rank] as u64);
                 if epoch.flux_ns[rank] > 0.0 {
                     collector.record_rank(
@@ -1055,7 +1023,7 @@ impl MacroSim {
                     rank as u32,
                     Phase::BoundaryComm,
                     comm as u64,
-                    (epoch.local_msgs + epoch.remote_msgs) as u32 / r as u32,
+                    msgs_per_rank,
                     0,
                 );
                 collector.record_rank(rank as u32, Phase::Synchronization, sync as u64);
@@ -1220,16 +1188,10 @@ impl MacroSim {
     }
 
     /// Fill per-rank communication aggregates for a (mesh, placement) epoch
-    /// into the reused `e` (all buffers recycled, no allocation once warm).
-    /// `graph` is the cached neighbor topology of `mesh` — flat or sharded,
-    /// both walk identical rows in identical order; `shm_in` and `partials`
-    /// are pooled scratch buffers.
-    ///
-    /// With `threads > 1` the two graph passes and the contention/sort pass
-    /// run on the worker pool via [`par::fill_epoch_parallel`] under the
-    /// slot-ownership rule — bitwise identical to this serial body at any
-    /// thread count. Only the cheap O(n + r) prologue (reset, block counts,
-    /// shm zeroing) is shared.
+    /// into the reused `e` through [`par::fill_epoch`] on the simulator's
+    /// communicator. `graph` is the cached neighbor topology of `mesh` —
+    /// flat or sharded, both walk identical rows in identical order;
+    /// `shm_in` and `partials` are pooled scratch buffers.
     fn fill_epoch(
         &self,
         mesh: &AmrMesh,
@@ -1240,164 +1202,32 @@ impl MacroSim {
         partials: &mut Vec<par::EpochPartial>,
     ) {
         let cfg = &self.config;
-        let r = cfg.topology.num_ranks;
-        let spec = mesh.config().spec;
-        let dim = mesh.config().dim;
-
-        e.reset(r);
-        for b in 0..placement.num_blocks() {
-            e.blocks_per_rank[placement.rank_of(b) as usize] += 1;
-        }
-        shm_in.clear();
-        shm_in.resize(r, 0);
-        let nodes = cfg.topology.num_nodes();
-        let congestion = cfg.network.congestion_enabled();
-        if congestion {
-            // Flat (src_node, dst_node) byte matrix; `reset` cleared it, so
-            // the resize re-zeroes in place.
-            e.link_bytes.resize(nodes * nodes, 0);
-        }
-
-        if let Some(comm) = &self.exec {
-            // Worker lanes observe wall clock per task (host track only);
-            // they feed nothing back, so traced and untraced parallel runs
-            // stay bit-identical in virtual time.
-            if let Some(t) = &self.trace {
-                let t_n = comm.threads().min(r).max(1);
-                t.sink.ensure_lanes(t_n, par::LANE_SPAN_CAPACITY);
+        let mut fill = |lanes: Option<(&mut [WorkerLane], u32)>| {
+            par::fill_epoch(
+                &self.exec,
+                &cfg.topology,
+                &cfg.network,
+                mesh.config().spec,
+                mesh.config().dim,
+                placement,
+                graph,
+                e,
+                shm_in,
+                partials,
+                lanes,
+            )
+        };
+        // Worker lanes observe wall clock per task (host track only) when
+        // the fill runs on the pool; they feed nothing back, so traced and
+        // untraced runs stay bit-identical in virtual time.
+        match (&self.trace, self.exec.pooled()) {
+            (Some(t), Some(comm)) => {
+                let tasks = comm.threads().min(cfg.topology.num_ranks).max(1);
+                t.sink.ensure_lanes(tasks, par::LANE_SPAN_CAPACITY);
                 let step = t.sink.step();
-                t.sink.with_lanes_mut(|lanes| {
-                    par::fill_epoch_parallel(
-                        comm,
-                        &cfg.topology,
-                        &cfg.network,
-                        spec,
-                        dim,
-                        placement,
-                        graph,
-                        e,
-                        shm_in,
-                        partials,
-                        Some((lanes, step)),
-                    );
-                });
-            } else {
-                par::fill_epoch_parallel(
-                    comm,
-                    &cfg.topology,
-                    &cfg.network,
-                    spec,
-                    dim,
-                    placement,
-                    graph,
-                    e,
-                    shm_in,
-                    partials,
-                    None,
-                );
+                t.sink.with_lanes_mut(|lanes| fill(Some((lanes, step))));
             }
-            if congestion {
-                self.fill_congestion(e);
-            }
-            return;
-        }
-
-        graph.for_each_row(|block, nbs| {
-            let src = placement.rank_of(block.index()) as usize;
-            for n in nbs {
-                let bytes = spec.message_bytes(dim, n.kind.codim());
-                let dst = placement.rank_of(n.block.index()) as usize;
-                if dst == src {
-                    e.intra_msgs += 1;
-                    // memcpy at memory bandwidth (use shm bandwidth).
-                    e.memcpy_ns[src] += bytes as f64 / cfg.network.shm.bytes_per_ns;
-                    continue;
-                }
-                let local = cfg.topology.same_node(src, dst);
-                if local {
-                    e.local_msgs += 1;
-                    shm_in[dst] += 1;
-                } else {
-                    e.remote_msgs += 1;
-                    if congestion {
-                        let idx = cfg.topology.node_of(src) * nodes + cfg.topology.node_of(dst);
-                        e.link_bytes[idx] += bytes;
-                    }
-                }
-                e.dispatch_ns[src] += cfg.network.dispatch_ns(bytes) as f64;
-                e.service_ns[dst] += cfg.network.service_ns(bytes, local) as f64;
-                let tail = cfg.network.transfer_ns(bytes, local) as f64;
-                if tail > e.transfer_tail_ns[dst] {
-                    e.transfer_tail_ns[dst] = tail;
-                }
-                // Duplicates resolved by a sort+dedup pass below (the hot
-                // loop stays branch-light; no per-rank hash/tree set).
-                e.senders[dst].push(src as u32);
-            }
-        });
-        // Flux correction: every fine block sends conserved-flux data for
-        // each face shared with a coarser neighbor — small messages, one
-        // round per step (§II-B). The payload is the fine face restricted
-        // onto the coarse grid: a quarter of a face exchange.
-        graph.for_each_row(|block, nbs| {
-            let src = placement.rank_of(block.index()) as usize;
-            for n in nbs {
-                if n.level_delta != -1 || n.kind != amr_mesh::NeighborKind::Face {
-                    continue; // only fine→coarse faces carry flux fix-ups
-                }
-                let bytes = spec.message_bytes(dim, 1) / 4;
-                let dst = placement.rank_of(n.block.index()) as usize;
-                if dst == src {
-                    e.flux_ns[src] += bytes as f64 / cfg.network.shm.bytes_per_ns;
-                    continue;
-                }
-                e.flux_msgs += 1;
-                let local = cfg.topology.same_node(src, dst);
-                e.flux_ns[src] += cfg.network.dispatch_ns(bytes) as f64;
-                e.flux_ns[dst] += cfg.network.service_ns(bytes, local) as f64;
-                if local {
-                    e.local_msgs += 1;
-                } else {
-                    e.remote_msgs += 1;
-                    if congestion {
-                        let idx = cfg.topology.node_of(src) * nodes + cfg.topology.node_of(dst);
-                        e.link_bytes[idx] += bytes;
-                    }
-                }
-            }
-        });
-        for (dst, &shm) in shm_in.iter().enumerate().take(r) {
-            e.service_ns[dst] += cfg.network.shm_contention_ns(shm) as f64;
-            let s = &mut e.senders[dst];
-            s.sort_unstable();
-            s.dedup();
-        }
-        if congestion {
-            self.fill_congestion(e);
-        }
-    }
-
-    /// Epilogue of [`Self::fill_epoch`] when the credit model is live:
-    /// convert the merged per-link byte matrix into per-rank stalls. A
-    /// rank's round is gated by its node's most congested outgoing link
-    /// (the send side blocks for credit returns) and incoming link
-    /// (retransmits delay the service tail). [`NetworkConfig::congestion_ns`]
-    /// is monotone, so taking the byte max first equals maxing the stalls —
-    /// and prices each worst link exactly once. Pure integer maxima over the
-    /// merged matrix: identical at any thread count.
-    fn fill_congestion(&self, e: &mut CommEpoch) {
-        let cfg = &self.config;
-        let nodes = cfg.topology.num_nodes();
-        for rank in 0..cfg.topology.num_ranks {
-            let sn = cfg.topology.node_of(rank);
-            let mut worst_out = 0u64;
-            let mut worst_in = 0u64;
-            for peer in 0..nodes {
-                worst_out = worst_out.max(e.link_bytes[sn * nodes + peer]);
-                worst_in = worst_in.max(e.link_bytes[peer * nodes + sn]);
-            }
-            e.cong_send_ns[rank] = cfg.network.congestion_ns(worst_out) as f64;
-            e.cong_recv_ns[rank] = cfg.network.congestion_ns(worst_in) as f64;
+            _ => fill(None),
         }
     }
 }
@@ -1881,11 +1711,11 @@ mod knob_tests {
         assert!(cfg.validate().unwrap_err().contains("threads"));
     }
 
-    /// The tentpole determinism proof at unit scale: every parallel phase —
-    /// epoch fill, compute scatter, the fused ready/finish pass, shard
-    /// rebuilds — follows the slot-ownership rule, so a multi-threaded run
-    /// reproduces the serial oracle's virtual time **bit for bit** at any
-    /// thread count, through mesh adaptation, a throttle episode with NIC
+    /// The determinism proof at unit scale: every phase kernel — epoch
+    /// fill, compute scatter, ready/finish, shard rebuilds — follows the
+    /// slot-ownership rule, so a multi-threaded run reproduces the
+    /// single-owner (`threads == 1`) run's virtual time **bit for bit** at
+    /// any thread count, through mesh adaptation, a throttle episode with NIC
     /// degradation, and both graph paths (flat and sharded). Virtual phases
     /// and counters are compared; `total_ns`/`redist_ns` are excluded
     /// because redistribution charges real placement wall-clock.

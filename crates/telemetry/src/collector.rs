@@ -104,6 +104,14 @@ impl Collector {
         self.enabled && self.current_step.is_multiple_of(self.sampling)
     }
 
+    /// Will records made for the current step be kept in the table or fed
+    /// to the per-step compute series? When false, every `record_*` call
+    /// for this step is a no-op and callers may skip making it.
+    #[inline]
+    pub fn observes_step(&self) -> bool {
+        self.sampled() || !self.step_compute.is_empty()
+    }
+
     /// Record a per-block phase duration.
     pub fn record_block(&mut self, rank: u32, block: u32, phase: Phase, duration_ns: u64) {
         self.track_compute(rank, phase, duration_ns);

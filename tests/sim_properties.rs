@@ -377,11 +377,11 @@ proptest! {
         }
     }
 
-    /// The multi-core tentpole's determinism proof: a run on real worker
-    /// threads must reproduce the serial oracle's virtual time **bit for
-    /// bit** at any thread count. Every parallel kernel follows the
+    /// The multi-core determinism proof: a run on real worker threads must
+    /// reproduce the single-owner (`threads == 1`) run's virtual time **bit
+    /// for bit** at any thread count. Every kernel follows the
     /// slot-ownership rule (each per-rank slot has exactly one writing task,
-    /// accumulating in the serial loop's order), so f64 non-associativity
+    /// accumulating in one fixed order), so f64 non-associativity
     /// never gets a chance to bite — across random 2D/3D adapt sequences,
     /// random fault timelines (throttle + NIC degradation, reweight response
     /// armed), and both graph paths. Redistribution/total are excluded as

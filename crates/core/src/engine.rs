@@ -4,7 +4,7 @@
 //! The paper's redistribution budget (< 50 ms per invocation, §VI-C) makes
 //! placement *computation* a first-class cost. This module unifies every
 //! policy behind a single entry point,
-//! [`PlacementPolicy::place_into`](crate::policies::PlacementPolicy::place_into),
+//! [`PlacementPolicy::place_into`],
 //! fed by a [`PlacementCtx`] that carries everything a policy may consume:
 //!
 //! * per-block costs and the rank count (always),

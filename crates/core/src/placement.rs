@@ -323,7 +323,7 @@ mod tests {
         // corners: each corner block has 7 neighbors).
         let tree = Octree::uniform_roots(Dim::D3, (2, 2, 2));
         let leaves = tree.leaves_sorted();
-        let graph = NeighborGraph::build(&tree, &leaves);
+        let graph = NeighborGraph::build(&tree, &leaves, amr_mesh::pool::WorkerPool::global());
         let spec = BlockSpec::default();
 
         // All blocks on one rank: everything is intra-rank memcpy.
@@ -348,7 +348,7 @@ mod tests {
     fn locality_bytes_track_kinds() {
         let tree = Octree::uniform_roots(Dim::D3, (2, 2, 2));
         let leaves = tree.leaves_sorted();
-        let graph = NeighborGraph::build(&tree, &leaves);
+        let graph = NeighborGraph::build(&tree, &leaves, amr_mesh::pool::WorkerPool::global());
         let spec = BlockSpec::default();
         let p = Placement::new((0..8).collect(), 8);
         let s = p.locality_stats(&graph, 8, &spec, Dim::D3);

@@ -20,10 +20,10 @@
 //!   caller attaches one; zero otherwise).
 //! * **Stage 2 — blocks → ranks, per node.** Each node's contiguous block
 //!   span is placed onto the node's rank window with the existing zero-alloc
-//!   LPT heap ([`lpt_heap`]), using per-node warm order buffers: a span
-//!   whose bounds are unchanged since the previous call re-sorts a
-//!   nearly-sorted order vector instead of rebuilding it, the same
-//!   warm-order trick the flat engine uses.
+//!   LPT heap (`lpt_heap`), one pool task per node, using per-node warm
+//!   order buffers: a span whose bounds are unchanged since the previous
+//!   call re-sorts a nearly-sorted order vector instead of rebuilding it,
+//!   the same warm-order trick the flat engine uses.
 //!
 //! With `num_shards <= 1` the policy delegates verbatim to [`Lpt`], so the
 //! flat engine remains the bitwise oracle (pinned by the cross-validation
@@ -32,8 +32,8 @@
 //! `crates/core/tests/zero_alloc_sharded.rs`).
 
 // Legacy single-threaded module: stage-1 scratch uses `Cell`-free interior
-// state but the trace handle plumbing is `Rc`-based. Stage 2's parallel path
-// touches only `Send` data (`Disjoint` slices + per-node pools), so the
+// state but the trace handle plumbing is `Rc`-based. Stage 2's pool tasks
+// touch only `Send` data (`Disjoint` slices + per-node pools), so the
 // workspace-wide `disallowed_types` thread-safety guard is waived here.
 #![allow(clippy::disallowed_types)]
 
@@ -49,10 +49,7 @@ use std::cell::RefCell;
 struct NodePool {
     /// Span start the order vector was built for (warm-reuse key).
     base: usize,
-    /// Whether `order` holds span-local indices (the parallel path) rather
-    /// than global block indices (the serial path). Part of the warm-reuse
-    /// key so switching thread counts can never misread a stale order.
-    local: bool,
+    /// Span-local block indices in warm LPT order.
     order: Vec<usize>,
     slots: Vec<Slot>,
 }
@@ -85,8 +82,8 @@ pub struct Hierarchical {
     num_shards: usize,
     ranks_per_node: usize,
     pools: RefCell<Pools>,
-    /// Worker pool for parallel stage 2; `None` runs stage 2 serially.
-    exec: Option<WorkerPool>,
+    /// Worker pool for stage 2 (one thread, inline, by default).
+    exec: WorkerPool,
 }
 
 impl Hierarchical {
@@ -99,7 +96,7 @@ impl Hierarchical {
             num_shards,
             ranks_per_node,
             pools: RefCell::new(Pools::default()),
-            exec: None,
+            exec: WorkerPool::new(1),
         }
     }
 
@@ -107,12 +104,11 @@ impl Hierarchical {
     /// span/rank-window subproblem is rebased to span-local indices and
     /// solved independently; `lpt_heap` breaks sort ties by block index,
     /// which is invariant under the common rebasing shift, so placements are
-    /// bitwise identical to the serial path at any thread count (pinned by
-    /// `parallel_stage2_is_bitwise_identical_to_serial`). `threads <= 1`
-    /// keeps the serial path.
+    /// bitwise identical at any thread count (pinned by
+    /// `parallel_stage2_is_bitwise_identical_to_serial`).
     pub fn with_threads(mut self, threads: usize) -> Hierarchical {
         assert!(threads >= 1, "at least one thread");
-        self.exec = (threads > 1).then(|| WorkerPool::new(threads));
+        self.exec = WorkerPool::new(threads);
         self
     }
 
@@ -289,69 +285,42 @@ impl PlacementPolicy for Hierarchical {
 
         // Stage 2: per node, LPT its contiguous block span onto its rank
         // window with warm per-node order reuse. Node spans are disjoint, so
-        // the parallel path hands each task its own span of `assignment`
-        // (via `Disjoint`) and a span-local view of `costs`.
+        // each task gets its own span of `assignment` (via `Disjoint`) and a
+        // span-local view of `costs`.
         if pools.nodes.len() != nodes {
             pools.nodes.resize_with(nodes, NodePool::default);
         }
-        match &self.exec {
-            Some(exec) => {
-                let Pools {
-                    spans,
-                    cuts,
-                    nodes: node_pools,
-                    ..
-                } = pools;
-                let (spans, cuts) = (&*spans, &*cuts);
-                let rpn = self.ranks_per_node;
-                let out_spans = Disjoint::new(assignment);
-                exec.run_with(node_pools, |i, pool| {
-                    let blo = spans[cuts[i] as usize] as usize;
-                    let bhi = spans[cuts[i + 1] as usize] as usize;
-                    if blo == bhi {
-                        return;
-                    }
-                    let r0 = i * rpn;
-                    let r1 = ((i + 1) * rpn).min(r);
-                    // SAFETY: cuts/spans are non-decreasing, so node block
-                    // spans are pairwise disjoint.
-                    let node_out = unsafe { out_spans.slice(blo, bhi) };
-                    let node_costs = &costs[blo..bhi];
-                    if !pool.local || pool.base != blo || pool.order.len() != bhi - blo {
-                        pool.order.clear();
-                        pool.order.extend(0..bhi - blo);
-                        pool.base = blo;
-                        pool.local = true;
-                    }
-                    pool.slots.clear();
-                    pool.slots
-                        .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
-                    lpt_heap(node_costs, node_out, &mut pool.order, &mut pool.slots);
-                });
+        let Pools {
+            spans,
+            cuts,
+            nodes: node_pools,
+            ..
+        } = pools;
+        let (spans, cuts) = (&*spans, &*cuts);
+        let rpn = self.ranks_per_node;
+        let out_spans = Disjoint::new(assignment);
+        self.exec.run_with(node_pools, |i, pool| {
+            let blo = spans[cuts[i] as usize] as usize;
+            let bhi = spans[cuts[i + 1] as usize] as usize;
+            if blo == bhi {
+                return;
             }
-            None => {
-                for i in 0..nodes {
-                    let blo = pools.spans[pools.cuts[i] as usize] as usize;
-                    let bhi = pools.spans[pools.cuts[i + 1] as usize] as usize;
-                    if blo == bhi {
-                        continue;
-                    }
-                    let r0 = i * self.ranks_per_node;
-                    let r1 = ((i + 1) * self.ranks_per_node).min(r);
-                    let pool = &mut pools.nodes[i];
-                    if pool.local || pool.base != blo || pool.order.len() != bhi - blo {
-                        pool.order.clear();
-                        pool.order.extend(blo..bhi);
-                        pool.base = blo;
-                        pool.local = false;
-                    }
-                    pool.slots.clear();
-                    pool.slots
-                        .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
-                    lpt_heap(costs, assignment, &mut pool.order, &mut pool.slots);
-                }
+            let r0 = i * rpn;
+            let r1 = ((i + 1) * rpn).min(r);
+            // SAFETY: cuts/spans are non-decreasing, so node block spans are
+            // pairwise disjoint.
+            let node_out = unsafe { out_spans.slice(blo, bhi) };
+            let node_costs = &costs[blo..bhi];
+            if pool.base != blo || pool.order.len() != bhi - blo {
+                pool.order.clear();
+                pool.order.extend(0..bhi - blo);
+                pool.base = blo;
             }
-        }
+            pool.slots.clear();
+            pool.slots
+                .extend((r0 as u32..r1 as u32).map(|rank| Slot { load: 0.0, rank }));
+            lpt_heap(node_costs, node_out, &mut pool.order, &mut pool.slots);
+        });
         Ok(ctx.finish(out))
     }
 }
@@ -413,18 +382,62 @@ mod tests {
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
+    /// Stage 2 as a plain loop over global block indices: each node's block
+    /// span LPT-placed onto the node's rank window.
+    fn global_index_stage2(
+        costs: &[f64],
+        node_spans: &[(usize, usize)],
+        rpn: usize,
+        r: usize,
+    ) -> Vec<u32> {
+        let mut out = vec![0u32; costs.len()];
+        for (node, &(blo, bhi)) in node_spans.iter().enumerate() {
+            let mut order: Vec<usize> = (blo..bhi).collect();
+            let mut slots: Vec<Slot> = (node * rpn..((node + 1) * rpn).min(r))
+                .map(|rank| Slot {
+                    load: 0.0,
+                    rank: rank as u32,
+                })
+                .collect();
+            lpt_heap(costs, &mut out, &mut order, &mut slots);
+        }
+        out
+    }
+
     #[test]
     fn parallel_stage2_is_bitwise_identical_to_serial() {
-        for threads in [2usize, 4] {
-            let serial = Hierarchical::new(6, 8);
-            let parallel = Hierarchical::new(6, 8).with_threads(threads);
-            // Repeated calls exercise both cold and warm order paths, and a
-            // changing cost vector moves the stage-1 cuts between calls.
-            for (seed, n) in [(17u64, 300usize), (17, 300), (23, 300), (5, 257)] {
-                let costs = random_costs(n, seed);
-                let a = serial.place(&costs, 24);
-                let b = parallel.place(&costs, 24);
-                assert_eq!(a.as_slice(), b.as_slice(), "threads={threads}");
+        let serial = Hierarchical::new(6, 8);
+        let pooled = [2usize, 3].map(|t| Hierarchical::new(6, 8).with_threads(t));
+        // Repeated calls exercise both cold and warm order paths, and a
+        // changing cost vector moves the stage-1 cuts between calls.
+        for (seed, n) in [(17u64, 300usize), (17, 300), (23, 300), (5, 257)] {
+            let costs = random_costs(n, seed);
+            let p1 = serial.place(&costs, 24);
+            // Node spans from the 1-thread run's stage-1 cuts, so the
+            // oracle does not depend on the placements under test.
+            let node_spans: Vec<(usize, usize)> = {
+                let pools = serial.pools.borrow();
+                pools
+                    .cuts
+                    .windows(2)
+                    .map(|w| {
+                        (
+                            pools.spans[w[0] as usize] as usize,
+                            pools.spans[w[1] as usize] as usize,
+                        )
+                    })
+                    .collect()
+            };
+            let expect = global_index_stage2(&costs, &node_spans, 8, 24);
+            assert_eq!(p1.as_slice(), &expect[..], "seed={seed} n={n}");
+            for hier in &pooled {
+                let p = hier.place(&costs, 24);
+                assert_eq!(
+                    p.as_slice(),
+                    p1.as_slice(),
+                    "threads={} seed={seed} n={n}",
+                    hier.exec.threads()
+                );
             }
         }
     }

@@ -13,7 +13,7 @@
 //!    contract to one coarse vertex (weights summed, parallel edges merged)
 //!    until the graph is small or matching stalls.
 //! 2. **Initial partition** — the shared greedy cut seeding
-//!    ([`cut::greedy_cut_partition`]'s semantics, stamp-sparse gains) on the
+//!    (`cut::greedy_cut_partition`'s semantics, stamp-sparse gains) on the
 //!    coarsest graph, under the balance cap `mean · slack`.
 //! 3. **Uncoarsening + FM refinement** — project the assignment one level
 //!    finer (cut-invariant: intra-pair edges are internal by construction)
@@ -54,7 +54,8 @@ const UNSET: u32 = u32::MAX;
 /// f64 move gain — 2048 slots cover the full exponent range, so bucket
 /// order is exactly gain magnitude order without any float comparison.
 const GAIN_BUCKETS: usize = 2048;
-/// Pooled proposal sweeps only pay off past this vertex count.
+/// Proposal sweeps split across the pool's threads only past this vertex
+/// count; smaller levels run as one task.
 const PARALLEL_MIN_VERTICES: usize = 4096;
 
 /// Multilevel k-way partitioner with observed-weight support.
@@ -70,8 +71,9 @@ pub struct Multilevel {
     /// Stop coarsening once the graph has at most
     /// `max(coarsest_per_rank · num_ranks, greedy_threshold)` vertices.
     pub coarsest_per_rank: usize,
-    /// Worker pool for the HEM proposal sweeps; `None` runs them serially.
-    exec: Option<WorkerPool>,
+    /// Worker pool for the HEM proposal sweeps (one thread, inline, by
+    /// default).
+    exec: WorkerPool,
 }
 
 impl std::fmt::Debug for Multilevel {
@@ -81,7 +83,7 @@ impl std::fmt::Debug for Multilevel {
             .field("refine_passes", &self.refine_passes)
             .field("greedy_threshold", &self.greedy_threshold)
             .field("coarsest_per_rank", &self.coarsest_per_rank)
-            .field("threads", &self.exec.as_ref().map_or(1, |p| p.threads()))
+            .field("threads", &self.exec.threads())
             .finish()
     }
 }
@@ -93,7 +95,7 @@ impl Default for Multilevel {
             refine_passes: 2,
             greedy_threshold: 128,
             coarsest_per_rank: 4,
-            exec: None,
+            exec: WorkerPool::new(1),
         }
     }
 }
@@ -103,12 +105,12 @@ impl Multilevel {
         Multilevel::default()
     }
 
-    /// Run the HEM proposal sweeps on `threads` OS threads (1 = serial).
-    /// Matching resolution, contraction, and refinement stay serial — they
-    /// are the cheap, order-sensitive parts; the result is identical at any
-    /// thread count.
+    /// Run the HEM proposal sweeps on `threads` OS threads (1 = inline).
+    /// Matching resolution, contraction, and refinement stay on the calling
+    /// thread — they are the cheap, order-sensitive parts; the result is
+    /// identical at any thread count.
     pub fn with_threads(mut self, threads: usize) -> Multilevel {
-        self.exec = (threads > 1).then(|| WorkerPool::new(threads));
+        self.exec = WorkerPool::new(threads);
         self
     }
 
@@ -555,25 +557,21 @@ impl Multilevel {
                 }
                 best
             };
-            match &self.exec {
-                Some(pool) if n >= PARALLEL_MIN_VERTICES => {
-                    let t_n = pool.threads().min(n).max(1);
-                    let out = Disjoint::new(proposal);
-                    pool.run(t_n, |t| {
-                        let (lo, hi) = (t * n / t_n, (t + 1) * n / t_n);
-                        // SAFETY: tasks own pairwise-disjoint vertex ranges.
-                        let out = unsafe { out.slice(lo, hi) };
-                        for v in lo..hi {
-                            out[v - lo] = propose(v);
-                        }
-                    });
+            // Small levels run as one task; the pool then runs it inline.
+            let t_n = if n >= PARALLEL_MIN_VERTICES {
+                self.exec.threads().min(n)
+            } else {
+                1
+            };
+            let out = Disjoint::new(proposal);
+            self.exec.run(t_n, |t| {
+                let (lo, hi) = (t * n / t_n, (t + 1) * n / t_n);
+                // SAFETY: tasks own pairwise-disjoint vertex ranges.
+                let out = unsafe { out.slice(lo, hi) };
+                for v in lo..hi {
+                    out[v - lo] = propose(v);
                 }
-                _ => {
-                    for (v, slot) in proposal.iter_mut().enumerate() {
-                        *slot = propose(v);
-                    }
-                }
-            }
+            });
         }
 
         // Phase 2 — serial in-order resolution: match v with its proposal
@@ -1093,15 +1091,19 @@ mod tests {
 
     #[test]
     fn deterministic_and_thread_invariant() {
-        let m = big_mesh();
+        // 4096 blocks: the finest level reaches PARALLEL_MIN_VERTICES, so
+        // pools above one thread split the proposal sweep.
+        let m = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (256, 256, 256), 1));
+        assert!(m.num_blocks() >= PARALLEL_MIN_VERTICES);
         let c = costs(m.num_blocks());
-        let serial = Multilevel::default().place_on_mesh(&m, &c, 8);
-        let serial2 = Multilevel::default().place_on_mesh(&m, &c, 8);
-        let pooled = Multilevel::default()
-            .with_threads(4)
-            .place_on_mesh(&m, &c, 8);
-        assert_eq!(serial, serial2);
-        assert_eq!(serial, pooled, "thread count must not change the result");
+        let one = Multilevel::default().place_on_mesh(&m, &c, 8);
+        assert_eq!(one, Multilevel::default().place_on_mesh(&m, &c, 8));
+        for threads in [1, 2, 3] {
+            let pooled = Multilevel::default()
+                .with_threads(threads)
+                .place_on_mesh(&m, &c, 8);
+            assert_eq!(one, pooled, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! 2. a warm `ShardedMesh::refresh` across an oscillating refine/coarsen
 //!    cycle performs no heap allocation — per-shard CSR staging, the
 //!    affected-row flags, and every halo table are pooled and rebuilt in
-//!    place.
+//!    place, and
+//! 3. a warm `ShardedMesh::rebuild` (the stale-delta fallback) performs no
+//!    heap allocation on a 1- or 2-thread pool.
 //!
 //! This file must stay a single-test binary: the counting allocator is
 //! process-global, so a concurrently running sibling test would pollute the
-//! measurement. (Both steady states therefore live in the one test fn.)
+//! measurement. (All steady states therefore live in the one test fn.)
 
 use amr_core::engine::PlacementEngine;
 use amr_core::policies::Hierarchical;
-use amr_mesh::{AmrMesh, Dim, MeshConfig, RefineTag, ShardedMesh};
+use amr_mesh::{AmrMesh, Dim, MeshConfig, RefineTag, ShardedMesh, WorkerPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,7 +89,8 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
     // the incremental per-shard splice+patch path — including the halo-table
     // rebuild — against staging buffers that have already seen both shapes.
     let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D3, (32, 32, 32), 2));
-    let mut sharded = ShardedMesh::new(&mesh, 4);
+    let pool = WorkerPool::new(1);
+    let mut sharded = ShardedMesh::new(&mesh, 4, &pool);
     let cycle = |mesh: &mut AmrMesh, sharded: &mut ShardedMesh, measure: bool| -> u64 {
         let mut spent = 0u64;
         mesh.adapt(|b| {
@@ -99,7 +102,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh),
+            sharded.refresh(mesh, &pool),
             "refine delta must patch, not rebuild"
         );
         spent += alloc_count() - before;
@@ -112,7 +115,7 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         });
         let before = alloc_count();
         assert!(
-            sharded.refresh(mesh),
+            sharded.refresh(mesh, &pool),
             "coarsen delta must patch, not rebuild"
         );
         spent += alloc_count() - before;
@@ -140,4 +143,23 @@ fn steady_state_sharded_rebalance_and_refresh_are_allocation_free() {
         "cycle must be shape-stable"
     );
     assert_eq!(sharded.num_blocks(), blocks_at_rest);
+
+    // ---- ShardedMesh rebuild fallback, warm --------------------------------
+    // A forced from-scratch rebuild reuses every shard's CSR arrays and its
+    // pooled row buffer, inline on one thread and dispatched on two.
+    for threads in [1, 2] {
+        let pool = WorkerPool::new(threads);
+        sharded.rebuild(&mesh, &pool); // warm
+        let mut min_delta = u64::MAX;
+        for _ in 0..3 {
+            let before = alloc_count();
+            sharded.rebuild(&mesh, &pool);
+            min_delta = min_delta.min(alloc_count() - before);
+        }
+        assert_eq!(
+            min_delta, 0,
+            "warm sharded rebuild on {threads} thread(s) allocated {min_delta} times"
+        );
+        assert_eq!(sharded.num_blocks(), blocks_at_rest);
+    }
 }

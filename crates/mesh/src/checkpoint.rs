@@ -130,8 +130,12 @@ pub fn restore(mut buf: &[u8]) -> Result<AmrMesh, RestoreError> {
         Point::new(vals[0], vals[1], vals[2]),
         Point::new(vals[3], vals[4], vals[5]),
     );
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n * 13 {
+    // 13 bytes per leaf record; a count whose record bytes overflow cannot
+    // be backed by any buffer.
+    let n = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
+    if n.checked_mul(13)
+        .is_none_or(|bytes| bytes > buf.remaining())
+    {
         return Err(RestoreError::Truncated);
     }
     let mut leaves = Vec::with_capacity(n);
@@ -204,6 +208,18 @@ mod tests {
             restore(&bytes[..bytes.len() - 5]).unwrap_err(),
             RestoreError::Truncated
         );
+    }
+
+    #[test]
+    fn rejects_overflowing_leaf_count() {
+        // `u64::MAX / 13 + 1` leaves: the record byte count overflows u64
+        // (it wraps to 2), which must read as truncation, not a panic or a
+        // huge allocation.
+        let mut bytes = save(&refined_mesh()).to_vec();
+        let count_at = 4 + 4 + 1 + 12 + 1 + 1 + 16 + 48;
+        let n = u64::MAX / 13 + 1;
+        bytes[count_at..count_at + 8].copy_from_slice(&n.to_le_bytes());
+        assert_eq!(restore(&bytes).unwrap_err(), RestoreError::Truncated);
     }
 
     #[test]

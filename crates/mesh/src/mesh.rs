@@ -348,10 +348,11 @@ impl AmrMesh {
             .map(|b| b.id)
     }
 
-    /// Build the neighbor graph for the current mesh snapshot.
+    /// Build the neighbor graph for the current mesh snapshot on the
+    /// process-wide [`WorkerPool::global`](crate::pool::WorkerPool::global).
     pub fn neighbor_graph(&self) -> NeighborGraph {
         let leaves: Vec<Octant> = self.blocks.iter().map(|b| b.octant).collect();
-        NeighborGraph::build(&self.tree, &leaves)
+        NeighborGraph::build(&self.tree, &leaves, crate::pool::WorkerPool::global())
     }
 
     /// Bring `graph` (the neighbor graph of the *pre-adapt* mesh) up to date

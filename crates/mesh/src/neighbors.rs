@@ -17,14 +17,15 @@
 //!
 //! Construction does not hash: leaves arrive in SFC (ascending Morton key)
 //! order, so coverage classification of a candidate cell is one binary
-//! search over the leaf key array. Large meshes build rows in parallel with
-//! scoped threads over contiguous leaf chunks and merge the per-chunk rows
-//! into the CSR arrays with a prefix sum.
+//! search over the leaf key array. Large meshes build rows on a
+//! [`WorkerPool`] over contiguous leaf chunks and concatenate the per-chunk
+//! rows into the CSR arrays.
 
 use crate::block::{BlockId, MeshBlock};
 use crate::geom::Dim;
 use crate::mesh::{BlockFate, RefinementDelta};
 use crate::octant::{Direction, Octant};
+use crate::pool::WorkerPool;
 use crate::sfc::sfc_key;
 use crate::tree::{Coverage, Octree};
 use serde::{Deserialize, Serialize};
@@ -218,50 +219,43 @@ pub struct PatchScratch {
 
 impl NeighborGraph {
     /// Build the neighbor graph for all leaves of `tree`, with `leaves`
-    /// given in SFC order (defining the `BlockId` of each leaf). Dispatches
-    /// to the parallel row builder for large meshes.
-    pub fn build(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if leaves.len() >= PARALLEL_BUILD_MIN_LEAVES && threads > 1 {
-            NeighborGraph::build_parallel(tree, leaves, threads.min(8))
-        } else {
-            NeighborGraph::build_serial(tree, leaves)
-        }
-    }
-
-    /// Single-threaded CSR build.
-    pub fn build_serial(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
-        let index = LeafIndex::new(leaves, tree.dim());
-        let dirs = Direction::all(tree.dim());
-        let mut offsets = Vec::with_capacity(leaves.len() + 1);
-        offsets.push(0u32);
-        let mut entries = Vec::with_capacity(leaves.len() * dirs.len());
-        let mut row: Vec<Neighbor> = Vec::with_capacity(32);
-        for leaf in leaves {
-            build_row(tree, &index, &dirs, leaf, &mut row);
-            entries.extend_from_slice(&row);
-            offsets.push(entries.len() as u32);
-        }
-        NeighborGraph { offsets, entries }
-    }
-
-    /// Parallel CSR build on the shared [`WorkerPool`](crate::pool::WorkerPool):
-    /// each task builds the rows of one contiguous leaf chunk; chunks
-    /// concatenate into the final CSR arrays (rows are pure functions of the
-    /// tree, so the output is independent of chunking and thread count).
+    /// given in SFC order (defining the `BlockId` of each leaf), on `pool`.
+    ///
+    /// The input size sets the chunk count. Below
+    /// `PARALLEL_BUILD_MIN_LEAVES` leaves, or on a one-thread pool, the rows
+    /// are built as one chunk straight into the CSR arrays. Larger meshes
+    /// split into `4 × threads` contiguous leaf chunks (more chunks than
+    /// threads, so the task-pulling pool smooths residual imbalance); each
+    /// task builds one chunk's rows and the chunks concatenate. Rows are pure
+    /// functions of the tree, so the output is independent of chunking and
+    /// thread count.
     ///
     /// Chunks are balanced by *estimated relation count*, not leaf count:
     /// a leaf adjacent to a refinement-level transition fans out to more
     /// neighbors (up to 4 fine blocks per face in 3D), so equal-leaf chunks
     /// skew badly on deeply refined meshes. A cheap O(n) pre-pass weights
     /// each leaf by its SFC-adjacent level deltas as a proxy for transitions.
-    pub fn build_parallel(tree: &Octree, leaves: &[Octant], threads: usize) -> NeighborGraph {
+    pub fn build(tree: &Octree, leaves: &[Octant], pool: &WorkerPool) -> NeighborGraph {
         let n = leaves.len();
-        let threads = threads.clamp(1, n.max(1));
         let index = LeafIndex::new(leaves, tree.dim());
         let dirs = Direction::all(tree.dim());
+        // Rows of one chunk, appended with chunk-local offsets.
+        let build_chunk =
+            |chunk: &[Octant], offsets: &mut Vec<u32>, entries: &mut Vec<Neighbor>| {
+                let mut row: Vec<Neighbor> = Vec::with_capacity(32);
+                for leaf in chunk {
+                    build_row(tree, &index, &dirs, leaf, &mut row);
+                    entries.extend_from_slice(&row);
+                    offsets.push(entries.len() as u32);
+                }
+            };
+        if n < PARALLEL_BUILD_MIN_LEAVES || pool.threads() == 1 {
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(0u32);
+            let mut entries = Vec::with_capacity(n * dirs.len());
+            build_chunk(leaves, &mut offsets, &mut entries);
+            return NeighborGraph { offsets, entries };
+        }
 
         // Base weight ~= face count; transition bonus ~= extra fine
         // neighbors per level jump seen along the curve.
@@ -285,10 +279,7 @@ impl NeighborGraph {
             base_w + jump_w * (before + after)
         };
         let total_weight: u64 = (0..n).map(weight).sum();
-
-        // More chunks than threads so the task-pulling pool can smooth any
-        // residual imbalance the weight model misses.
-        let chunks = (threads * 4).min(n.max(1));
+        let chunks = (pool.threads() * 4).min(n);
         let per_chunk = total_weight.div_ceil(chunks as u64).max(1);
         let mut bounds = Vec::with_capacity(chunks + 1);
         bounds.push(0usize);
@@ -310,24 +301,17 @@ impl NeighborGraph {
                 )
             })
             .collect();
-        crate::pool::WorkerPool::global().run_with_capped(threads, &mut parts, |t, part| {
-            let (counts, entries) = part;
-            let mut row: Vec<Neighbor> = Vec::with_capacity(32);
-            for leaf in &leaves[bounds[t]..bounds[t + 1]] {
-                build_row(tree, &index, &dirs, leaf, &mut row);
-                entries.extend_from_slice(&row);
-                counts.push(row.len() as u32);
-            }
+        pool.run_with(&mut parts, |t, (offsets, entries)| {
+            build_chunk(&leaves[bounds[t]..bounds[t + 1]], offsets, entries)
         });
 
         let total: usize = parts.iter().map(|(_, e)| e.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut entries = Vec::with_capacity(total);
-        for (counts, part_entries) in parts {
-            for c in counts {
-                offsets.push(offsets.last().unwrap() + c);
-            }
+        for (part_offsets, part_entries) in parts {
+            let base = entries.len() as u32;
+            offsets.extend(part_offsets.iter().map(|&o| base + o));
             entries.extend_from_slice(&part_entries);
         }
         NeighborGraph { offsets, entries }
@@ -711,18 +695,23 @@ fn touching_descendant_leaves(tree: &Octree, cell: &Octant, dir: Direction) -> V
 mod tests {
     use super::*;
     use crate::geom::Dim;
+    use crate::mesh::{AmrMesh, MeshConfig, RefineTag};
     use crate::tree::Octree;
+
+    fn build(tree: &Octree, leaves: &[Octant]) -> NeighborGraph {
+        NeighborGraph::build(tree, leaves, &WorkerPool::new(1))
+    }
 
     fn graph_of(tree: &Octree) -> NeighborGraph {
         let leaves = tree.leaves_sorted();
-        NeighborGraph::build(tree, &leaves)
+        build(tree, &leaves)
     }
 
     #[test]
     fn uniform_3d_interior_block_has_26_neighbors() {
         let tree = Octree::uniform_roots(Dim::D3, (4, 4, 4));
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         g.check_symmetry().unwrap();
         // Find an interior leaf (coordinates 1..3 on each axis).
         let (idx, _) = leaves
@@ -737,7 +726,7 @@ mod tests {
     fn uniform_3d_corner_block_has_7_neighbors() {
         let tree = Octree::uniform_roots(Dim::D3, (4, 4, 4));
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         let (idx, _) = leaves
             .iter()
             .enumerate()
@@ -750,7 +739,7 @@ mod tests {
     fn uniform_2d_interior_block_has_8_neighbors() {
         let tree = Octree::uniform_roots(Dim::D2, (4, 4, 1));
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         let (idx, _) = leaves
             .iter()
             .enumerate()
@@ -763,7 +752,7 @@ mod tests {
     fn neighbor_kinds_counted_for_interior_block() {
         let tree = Octree::uniform_roots(Dim::D3, (3, 3, 3));
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         let (idx, _) = leaves
             .iter()
             .enumerate()
@@ -785,7 +774,7 @@ mod tests {
         tree.refine(&Octant::new(0, 0, 0, 0));
         tree.check_invariants().unwrap();
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         g.check_symmetry().unwrap();
         // Some fine leaf must list a coarse neighbor (delta = -1): the
         // refined root's children on the +x/+y/+z sides touch level-0 roots.
@@ -807,7 +796,7 @@ mod tests {
         let mut tree = Octree::uniform_roots(Dim::D3, (2, 2, 2));
         tree.refine(&Octant::new(0, 0, 0, 0));
         let leaves = tree.leaves_sorted();
-        let g = NeighborGraph::build(&tree, &leaves);
+        let g = build(&tree, &leaves);
         let coarse_idx = leaves
             .iter()
             .position(|o| o.level == 0 && o.x == 1 && o.y == 0 && o.z == 0)
@@ -836,7 +825,7 @@ mod tests {
             tree.refine(&Octant::new(0, 0, 0, 0));
             tree.refine(&Octant::new(0, 1, 1, 0));
             let leaves = tree.leaves_sorted();
-            let csr = NeighborGraph::build_serial(&tree, &leaves);
+            let csr = build(&tree, &leaves);
             let legacy = NeighborGraph::build_legacy(&tree, &leaves);
             assert_eq!(csr, legacy, "dim {dim:?}");
         }
@@ -844,14 +833,44 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial() {
-        let mut tree = Octree::uniform_roots(Dim::D3, (4, 4, 4));
-        tree.refine(&Octant::new(0, 1, 1, 1));
-        tree.refine(&Octant::new(0, 2, 2, 2));
-        let leaves = tree.leaves_sorted();
-        let serial = NeighborGraph::build_serial(&tree, &leaves);
-        for threads in [1, 2, 3, 7] {
-            let par = NeighborGraph::build_parallel(&tree, &leaves, threads);
-            assert_eq!(par, serial, "threads = {threads}");
+        // Both trees are past PARALLEL_BUILD_MIN_LEAVES, so pools above one
+        // thread really split the rows into chunks, and level transitions
+        // land inside chunk interiors and at chunk boundaries alike.
+        // 3D: 24x24x16 roots plus a few refined octants.
+        let mut tree_3d = Octree::uniform_roots(Dim::D3, (24, 24, 16));
+        for &(x, y, z) in &[(1, 1, 1), (2, 2, 2), (7, 3, 9), (12, 20, 5), (23, 23, 15)] {
+            tree_3d.refine(&Octant::new(0, x, y, z));
+        }
+        // 2D: 24x24 roots refined twice (9216 blocks), then two hash-salted
+        // refine/coarsen rounds scatter level 1..4 transitions along the
+        // curve.
+        let mut mesh_2d = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (384, 384, 16), 4));
+        for round in 0..4u64 {
+            mesh_2d.adapt(|b| {
+                if round < 2 {
+                    return RefineTag::Refine;
+                }
+                let h = (b.id.index() as u64 ^ round).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+                match h % 5 {
+                    0 => RefineTag::Refine,
+                    1 => RefineTag::Coarsen,
+                    _ => RefineTag::Keep,
+                }
+            });
+        }
+        for tree in [&tree_3d, mesh_2d.tree()] {
+            let leaves = tree.leaves_sorted();
+            assert!(leaves.len() >= PARALLEL_BUILD_MIN_LEAVES);
+            let (lo, hi) = leaves.iter().fold((u8::MAX, 0), |(lo, hi), o| {
+                (lo.min(o.level), hi.max(o.level))
+            });
+            assert!(hi > lo, "{:?} tree has no level transitions", tree.dim());
+            let one_chunk = build(tree, &leaves);
+            one_chunk.check_symmetry().unwrap();
+            for threads in [2, 3] {
+                let chunked = NeighborGraph::build(tree, &leaves, &WorkerPool::new(threads));
+                assert_eq!(chunked, one_chunk, "{:?} threads = {threads}", tree.dim());
+            }
         }
     }
 
@@ -860,7 +879,7 @@ mod tests {
         let mut tree = Octree::uniform_roots_periodic(Dim::D3, (2, 2, 2));
         tree.refine(&Octant::new(0, 0, 0, 0));
         let leaves = tree.leaves_sorted();
-        let csr = NeighborGraph::build_serial(&tree, &leaves);
+        let csr = build(&tree, &leaves);
         let legacy = NeighborGraph::build_legacy(&tree, &leaves);
         assert_eq!(csr, legacy);
         csr.check_symmetry().unwrap();

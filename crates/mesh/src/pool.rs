@@ -1,10 +1,22 @@
 //! Persistent worker pool for deterministic in-process parallelism.
 //!
 //! Every parallel phase in the workspace (CSR builds, shard refreshes,
-//! macrosim rank loops, hierarchical stage-2 placement) dispatches through
-//! [`WorkerPool`]. The pool keeps `threads - 1` parked OS threads alive for
-//! its whole lifetime so steady-state dispatch allocates nothing and pays no
-//! thread-spawn cost; the calling thread always participates as worker 0.
+//! macrosim rank loops, ledger flushes, hierarchical stage-2 placement,
+//! multilevel proposal sweeps) dispatches through [`WorkerPool`], and each
+//! of those kernels has exactly one body: the thread count is a property of
+//! the pool, not a second code path. The pool keeps `threads - 1` parked OS
+//! threads alive for its whole lifetime so steady-state dispatch allocates
+//! nothing and pays no thread-spawn cost; the calling thread always
+//! participates as worker 0. `WorkerPool::new(1)` spawns nothing and runs
+//! every job inline on the caller, in task-index order.
+//!
+//! A pool runs one job at a time. A caller that finds it busy — another
+//! thread dispatching on the same pool (two service workers sharing
+//! [`WorkerPool::global`]), or a task dispatching from inside a running job
+//! — does not wait: it runs its own tasks inline, in index order. Slot
+//! ownership makes that output identical to a pooled run, so contention
+//! costs parallelism, never correctness, and nested dispatch cannot
+//! deadlock.
 //!
 //! Determinism contract: the pool intentionally exposes *only* fork-join
 //! task-index parallelism. Tasks are pulled from an atomic counter, so the
@@ -26,8 +38,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 struct Job {
     data: *const (),
     call: unsafe fn(*const (), usize),
-    /// Workers with index >= `cap` sit this job out (thread-count cap).
-    cap: usize,
 }
 
 // SAFETY: `data` is only dereferenced by the monomorphized `call` trampoline,
@@ -44,6 +54,9 @@ struct PoolState {
 }
 
 struct Shared {
+    /// Dispatch guard: held (true) while one caller owns the pool's job
+    /// slot. A caller that fails to take it runs its tasks inline.
+    busy: AtomicBool,
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
@@ -112,6 +125,7 @@ impl WorkerPool {
     pub fn new(threads: usize) -> WorkerPool {
         let workers = threads.saturating_sub(1);
         let shared = Arc::new(Shared {
+            busy: AtomicBool::new(false),
             state: Mutex::new(PoolState {
                 generation: 0,
                 job: None,
@@ -156,28 +170,18 @@ impl WorkerPool {
     /// the pool. Blocks until all tasks finish. Panics in tasks are caught,
     /// remaining tasks are abandoned, and the panic is re-raised here.
     ///
-    /// Must not be called from inside a task running on the same pool (the
-    /// pool runs one job at a time and the nested dispatch would deadlock).
+    /// If the pool is already running a job (a concurrent caller, or a
+    /// nested call from inside a task), the tasks run inline on the calling
+    /// thread in index order instead.
     pub fn run_with<S: Send, F: Fn(usize, &mut S) + Sync>(&self, states: &mut [S], f: F) {
-        self.run_with_capped(usize::MAX, states, f);
-    }
-
-    /// Like [`run_with`](Self::run_with) but uses at most `cap` threads
-    /// (including the caller), so a wide shared pool can serve a phase that
-    /// was configured for fewer threads.
-    pub fn run_with_capped<S: Send, F: Fn(usize, &mut S) + Sync>(
-        &self,
-        cap: usize,
-        states: &mut [S],
-        f: F,
-    ) {
         let tasks = states.len();
-        if tasks <= 1 || cap <= 1 || self.handles.is_empty() {
+        let guard = if tasks <= 1 { None } else { self.try_acquire() };
+        let Some(_guard) = guard else {
             for (i, state) in states.iter_mut().enumerate() {
                 f(i, state);
             }
             return;
-        }
+        };
         let panicked = AtomicBool::new(false);
         let ctx = Ctx {
             next: AtomicUsize::new(0),
@@ -189,7 +193,6 @@ impl WorkerPool {
         self.dispatch(Job {
             data: (&ctx as *const Ctx<'_, S, F>).cast(),
             call: trampoline::<S, F>,
-            cap,
         });
         if panicked.load(Ordering::SeqCst) {
             panic!("worker pool task panicked");
@@ -247,11 +250,6 @@ impl WorkerPool {
 
     /// Run `f(i)` for every `i in 0..tasks` with no per-task state.
     pub fn run<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
-        self.run_capped(usize::MAX, tasks, f);
-    }
-
-    /// Like [`run`](Self::run) with a thread cap (see `run_with_capped`).
-    pub fn run_capped<F: Fn(usize) + Sync>(&self, cap: usize, tasks: usize, f: F) {
         // Zero-sized states: `states.add(i)` never materializes storage.
         let mut states = [(); 0];
         let tasks_arr: &mut [()] = if tasks == 0 {
@@ -259,14 +257,28 @@ impl WorkerPool {
         } else {
             unsafe { make_unit_slice(tasks) }
         };
-        self.run_with_capped(cap, tasks_arr, |i, _unit| f(i));
+        self.run_with(tasks_arr, |i, _unit| f(i));
+    }
+
+    /// Take the dispatch guard, or `None` when the pool has no workers or
+    /// another dispatch holds it (the caller then runs inline).
+    fn try_acquire(&self) -> Option<DispatchGuard<'_>> {
+        if self.handles.is_empty() {
+            return None;
+        }
+        self.shared
+            .busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| DispatchGuard(&self.shared.busy))
     }
 
     /// Post `job`, help run it, and wait for all workers to check back in.
+    /// The caller must hold the dispatch guard.
     fn dispatch(&self, job: Job) {
         {
             let mut st = self.shared.state.lock().unwrap();
-            debug_assert!(st.active == 0, "nested dispatch on the same pool");
+            debug_assert!(st.active == 0, "dispatch without the guard");
             st.generation = st.generation.wrapping_add(1);
             st.job = Some(job);
             st.active = self.handles.len();
@@ -279,6 +291,16 @@ impl WorkerPool {
             st = self.shared.done_cv.wait(st).unwrap();
         }
         st.job = None;
+    }
+}
+
+/// Releases the dispatch guard on drop, including when a task panic is
+/// re-raised after the join.
+struct DispatchGuard<'a>(&'a AtomicBool);
+
+impl Drop for DispatchGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
     }
 }
 
@@ -319,11 +341,9 @@ fn worker_loop(shared: &Shared, index: usize) {
                 st = shared.work_cv.wait(st).unwrap();
             }
         };
-        if index < job.cap {
-            // SAFETY: the dispatching caller keeps the job context alive
-            // until `active` drains back to zero below.
-            unsafe { (job.call)(job.data, index) };
-        }
+        // SAFETY: the dispatching caller keeps the job context alive until
+        // `active` drains back to zero below.
+        unsafe { (job.call)(job.data, index) };
         let mut st = shared.state.lock().unwrap();
         st.active -= 1;
         if st.active == 0 {
@@ -476,22 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_dispatch_limits_participants() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let pool = WorkerPool::new(8);
-        let seen = Mutex::new(HashSet::new());
-        // 256 slow-ish tasks with cap 2: only worker 0 (caller) and worker 1
-        // may claim tasks. We can't observe worker indices directly, so we
-        // record thread ids and assert at most 2 distinct ones.
-        pool.run_capped(2, 256, |_i| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::thread::yield_now();
-        });
-        assert!(seen.lock().unwrap().len() <= 2);
-    }
-
-    #[test]
     fn panicking_task_propagates_to_caller() {
         let pool = WorkerPool::new(4);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -506,6 +510,44 @@ mod tests {
         let mut states = vec![0u32; 4];
         pool.run_with(&mut states, |i, s| *s = i as u32);
         assert_eq!(states, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn concurrent_dispatchers_share_one_pool() {
+        // Two threads hammer one pool: whichever finds it busy runs its
+        // tasks inline, so neither corrupts the other's job nor hangs.
+        use std::sync::atomic::AtomicU64;
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..20_000u64 {
+                        let hits: [AtomicU64; 8] = std::array::from_fn(|_| AtomicU64::new(0));
+                        pool.run(hits.len(), |i| {
+                            hits[i].fetch_add(caller + round + i as u64, Ordering::Relaxed);
+                        });
+                        for (i, h) in hits.iter().enumerate() {
+                            let got = h.load(Ordering::Relaxed);
+                            assert_eq!(got, caller + round + i as u64, "round {round}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn nested_run_inside_a_task_runs_inline() {
+        let pool = WorkerPool::new(3);
+        let mut outer = vec![0u64; 6];
+        pool.run_with(&mut outer, |i, total| {
+            let mut inner = vec![0u64; 5];
+            pool.run_with(&mut inner, |j, s| *s = (i * 10 + j) as u64);
+            *total = inner.iter().sum();
+        });
+        let expect: Vec<u64> = (0..6u64).map(|i| 5 * i * 10 + 10).collect();
+        assert_eq!(outer, expect);
     }
 
     #[test]

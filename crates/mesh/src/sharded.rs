@@ -18,11 +18,11 @@
 //!   concatenation), plus a sorted **halo table** of the out-of-shard blocks
 //!   its rows reference and a count of cross-shard relations.
 //! * [`ShardedMesh::refresh`] repairs all shards from the
-//!   [`RefinementDelta`] of the latest adapt using the same
-//!   affected-row analysis as [`NeighborGraph::patch`]: unaffected rows are
-//!   copied with ids renumbered through the fate table, affected rows are
-//!   rebuilt, and everything stages through pooled scratch so steady-state
-//!   refreshes allocate nothing. [`AmrMesh::neighbor_graph`] stays the
+//!   [`RefinementDelta`](crate::mesh::RefinementDelta) of the latest adapt
+//!   using the same affected-row analysis as [`NeighborGraph::patch`]:
+//!   unaffected rows are copied with ids renumbered through the fate table,
+//!   affected rows are rebuilt, and everything stages through pooled
+//!   scratch so steady-state refreshes allocate nothing. [`AmrMesh::neighbor_graph`] stays the
 //!   correctness oracle (see `flatten_into` and the property tests).
 //!
 //! ## Why shard boundaries never split a changed span
@@ -41,7 +41,7 @@ use crate::geom::Dim;
 use crate::mesh::{AmrMesh, BlockFate};
 use crate::neighbors::{build_row, BlockIndex, Neighbor, NeighborGraph};
 use crate::octant::Direction;
-use crate::pool::WorkerPool;
+use crate::pool::{Disjoint, WorkerPool};
 use crate::tree::Octree;
 
 /// One shard's view of the neighbor topology: the CSR rows of the blocks in
@@ -140,6 +140,8 @@ struct ShardScratch {
     offsets: Vec<u32>,
     entries: Vec<Neighbor>,
     row: Vec<Neighbor>,
+    /// One row buffer per shard for [`ShardedMesh::rebuild`]'s tasks.
+    rows: Vec<Vec<Neighbor>>,
 }
 
 /// Per-node SFC partition of an [`AmrMesh`]: `S` contiguous key ranges, each
@@ -181,36 +183,26 @@ pub fn build_shard(mesh: &AmrMesh, bounds: &[u64], s: usize, g: &mut ShardGraph)
     let keys = mesh.sfc_keys();
     let lo = keys.partition_point(|&k| k < bounds[s]);
     let hi = keys.partition_point(|&k| k < bounds[s + 1]);
-    let dirs = Direction::all(mesh.config().dim);
+    let dim = mesh.config().dim;
+    let dirs = Direction::all(dim);
     let mut row = Vec::with_capacity(32);
-    build_shard_rows(mesh, lo, hi, &dirs, &mut row, g);
-}
-
-/// Shared row builder: fill `g` with the rows of blocks `lo..hi`.
-fn build_shard_rows(
-    mesh: &AmrMesh,
-    lo: usize,
-    hi: usize,
-    dirs: &[Direction],
-    row: &mut Vec<Neighbor>,
-    g: &mut ShardGraph,
-) {
     build_shard_rows_parts(
         mesh.tree(),
         mesh.blocks(),
         mesh.sfc_keys(),
-        mesh.config().dim,
+        dim,
         lo,
         hi,
-        dirs,
-        row,
+        &dirs,
+        &mut row,
         g,
     );
 }
 
-/// Row builder over the mesh's plain-data parts. Worker tasks use this form:
-/// `AmrMesh` itself is not `Sync` (it may hold a trace handle), but the
-/// tree/blocks/keys snapshot the rows are a pure function of is.
+/// Fill `g` with the rows of blocks `lo..hi`, from the mesh's plain-data
+/// parts. Worker tasks need this form: `AmrMesh` itself is not `Sync` (it
+/// may hold a trace handle), but the tree/blocks/keys snapshot the rows are
+/// a pure function of is.
 #[allow(clippy::too_many_arguments)]
 fn build_shard_rows_parts(
     tree: &Octree,
@@ -239,8 +231,9 @@ fn build_shard_rows_parts(
 
 impl ShardedMesh {
     /// Partition `mesh` into `num_shards` contiguous SFC shards (balanced by
-    /// block count at planning time) and build every shard graph.
-    pub fn new(mesh: &AmrMesh, num_shards: usize) -> ShardedMesh {
+    /// block count at planning time) and build every shard graph on `pool`
+    /// (see [`ShardedMesh::rebuild`]).
+    pub fn new(mesh: &AmrMesh, num_shards: usize, pool: &WorkerPool) -> ShardedMesh {
         let bounds = plan_shard_bounds(mesh, num_shards);
         let mut sharded = ShardedMesh {
             bounds,
@@ -251,30 +244,7 @@ impl ShardedMesh {
                 ..ShardScratch::default()
             },
         };
-        sharded.rebuild(mesh);
-        sharded
-    }
-
-    /// [`ShardedMesh::new`] with the initial per-shard builds distributed
-    /// across `pool` (capped at `threads`); bitwise identical to the serial
-    /// constructor (see [`ShardedMesh::rebuild_on`]).
-    pub fn new_on(
-        mesh: &AmrMesh,
-        num_shards: usize,
-        pool: &WorkerPool,
-        threads: usize,
-    ) -> ShardedMesh {
-        let bounds = plan_shard_bounds(mesh, num_shards);
-        let mut sharded = ShardedMesh {
-            bounds,
-            starts: Vec::with_capacity(num_shards + 1),
-            shards: vec![ShardGraph::default(); num_shards],
-            scratch: ShardScratch {
-                dirs: Direction::all(mesh.config().dim),
-                ..ShardScratch::default()
-            },
-        };
-        sharded.rebuild_on(mesh, pool, threads);
+        sharded.rebuild(mesh, pool);
         sharded
     }
 
@@ -353,33 +323,12 @@ impl ShardedMesh {
 
     /// Recompute every shard window and rebuild every shard graph from
     /// scratch — the fallback when the mesh's stored delta cannot vouch for
-    /// the shards (and the initial build).
-    pub fn rebuild(&mut self, mesh: &AmrMesh) {
-        self.recompute_starts(mesh);
-        if self.scratch.dirs.is_empty() {
-            self.scratch.dirs = Direction::all(mesh.config().dim);
-        }
-        for s in 0..self.shards.len() {
-            let (lo, hi) = (self.starts[s] as usize, self.starts[s + 1] as usize);
-            build_shard_rows(
-                mesh,
-                lo,
-                hi,
-                &self.scratch.dirs,
-                &mut self.scratch.row,
-                &mut self.shards[s],
-            );
-        }
-    }
-
-    /// [`ShardedMesh::rebuild`] with per-shard builds distributed across
-    /// `pool` (capped at `threads`). Shard rows are pure functions of the
-    /// mesh snapshot and every task writes only its own [`ShardGraph`], so
-    /// the result is bitwise identical to the serial rebuild at any thread
-    /// count. Unlike the steady-state serial path, each task allocates its
-    /// own small row scratch — acceptable because rebuilds are the fallback
-    /// (initial build or stale delta), not the per-step path.
-    pub fn rebuild_on(&mut self, mesh: &AmrMesh, pool: &WorkerPool, threads: usize) {
+    /// the shards (and the initial build). One task per shard on `pool`:
+    /// shard rows are pure functions of the mesh snapshot and every task
+    /// writes only its own [`ShardGraph`], so the result is bitwise
+    /// identical at any thread count. Each task builds through its shard's
+    /// pooled row buffer, so a warm rebuild allocates nothing.
+    pub fn rebuild(&mut self, mesh: &AmrMesh, pool: &WorkerPool) {
         self.recompute_starts(mesh);
         if self.scratch.dirs.is_empty() {
             self.scratch.dirs = Direction::all(mesh.config().dim);
@@ -390,15 +339,18 @@ impl ShardedMesh {
             scratch,
             ..
         } = self;
-        let dirs = &scratch.dirs;
+        scratch.rows.resize_with(shards.len(), Vec::new);
+        let (dirs, rows) = (&scratch.dirs, &mut scratch.rows);
         let (tree, blocks, keys, dim) = (
             mesh.tree(),
             mesh.blocks(),
             mesh.sfc_keys(),
             mesh.config().dim,
         );
-        pool.run_with_capped(threads, shards, |s, g| {
-            let mut row = Vec::with_capacity(32);
+        let out = Disjoint::new(shards);
+        pool.run_with(rows, |s, row| {
+            // SAFETY: task `s` is the only one touching shard `s`.
+            let g = unsafe { &mut out.slice(s, s + 1)[0] };
             build_shard_rows_parts(
                 tree,
                 blocks,
@@ -407,7 +359,7 @@ impl ShardedMesh {
                 starts[s] as usize,
                 starts[s + 1] as usize,
                 dirs,
-                &mut row,
+                row,
                 g,
             );
         });
@@ -428,26 +380,15 @@ impl ShardedMesh {
     /// ids renumbered through the fate table; rows whose neighborhoods touch
     /// changed octants are rebuilt; each shard's halo table is refreshed.
     /// All staging goes through pooled scratch (steady state allocates
-    /// nothing). Falls back to [`ShardedMesh::rebuild`] when the stored
-    /// delta cannot vouch for the current shards. Returns `true` iff the
-    /// incremental path ran.
-    pub fn refresh(&mut self, mesh: &AmrMesh) -> bool {
+    /// nothing). Falls back to [`ShardedMesh::rebuild`] on `pool` when the
+    /// stored delta cannot vouch for the current shards. The incremental
+    /// path stays on the calling thread: it is a single in-order splice over
+    /// the fate table (already O(changed rows)), and keeping it on one
+    /// thread preserves its zero-allocation staging discipline. Returns
+    /// `true` iff the incremental path ran.
+    pub fn refresh(&mut self, mesh: &AmrMesh, pool: &WorkerPool) -> bool {
         if !self.delta_vouches(mesh) {
-            self.rebuild(mesh);
-            return false;
-        }
-        self.refresh_incremental(mesh);
-        true
-    }
-
-    /// [`ShardedMesh::refresh`] with the full-rebuild fallback distributed
-    /// across `pool` (see [`ShardedMesh::rebuild_on`]). The incremental path
-    /// itself stays serial: it is a single in-order splice over the fate
-    /// table (already O(changed rows)), and keeping it on one thread
-    /// preserves its zero-allocation staging discipline.
-    pub fn refresh_on(&mut self, mesh: &AmrMesh, pool: &WorkerPool, threads: usize) -> bool {
-        if !self.delta_vouches(mesh) {
-            self.rebuild_on(mesh, pool, threads);
+            self.rebuild(mesh, pool);
             return false;
         }
         self.refresh_incremental(mesh);
@@ -621,6 +562,13 @@ mod tests {
     use super::*;
     use crate::geom::Dim;
     use crate::mesh::{MeshConfig, RefineTag};
+    use std::sync::OnceLock;
+
+    /// The one-thread pool: every job runs inline on the caller.
+    fn inline() -> &'static WorkerPool {
+        static POOL: OnceLock<WorkerPool> = OnceLock::new();
+        POOL.get_or_init(|| WorkerPool::new(1))
+    }
 
     fn random_mesh_steps(dim: Dim, steps: usize, salt: u64) -> (AmrMesh, Vec<u64>) {
         let cells = match dim {
@@ -681,7 +629,7 @@ mod tests {
             for k in keys {
                 hash_adapt(&mut mesh, k);
             }
-            let sharded = ShardedMesh::new(&mesh, 1);
+            let sharded = ShardedMesh::new(&mesh, 1, inline());
             assert_matches_oracle(&sharded, &mesh);
             assert_eq!(sharded.shard(0).cross_relations(), 0);
             assert!(sharded.shard(0).halo().is_empty());
@@ -695,7 +643,7 @@ mod tests {
             for k in keys {
                 hash_adapt(&mut mesh, k);
             }
-            let sharded = ShardedMesh::new(&mesh, shards);
+            let sharded = ShardedMesh::new(&mesh, shards, inline());
             assert_matches_oracle(&sharded, &mesh);
             assert!(sharded.total_cross_relations() > 0);
         }
@@ -705,10 +653,10 @@ mod tests {
     fn refresh_tracks_adapt_sequence() {
         for dim in [Dim::D2, Dim::D3] {
             let (mut mesh, keys) = random_mesh_steps(dim, 5, 3);
-            let mut sharded = ShardedMesh::new(&mesh, 4);
+            let mut sharded = ShardedMesh::new(&mesh, 4, inline());
             for k in keys {
                 hash_adapt(&mut mesh, k);
-                let incremental = sharded.refresh(&mesh);
+                let incremental = sharded.refresh(&mesh, inline());
                 assert!(incremental || !mesh.last_delta().changed());
                 assert_matches_oracle(&sharded, &mesh);
             }
@@ -719,11 +667,11 @@ mod tests {
     fn refresh_falls_back_on_stale_delta() {
         let (mut mesh, _) = random_mesh_steps(Dim::D3, 0, 0);
         hash_adapt(&mut mesh, 11);
-        let mut sharded = ShardedMesh::new(&mesh, 4);
+        let mut sharded = ShardedMesh::new(&mesh, 4, inline());
         // A full rebuild resets the delta to identity: refresh cannot vouch
         // for the shards and must fall back (and still be correct).
         mesh.force_full_rebuild();
-        assert!(!sharded.refresh(&mesh));
+        assert!(!sharded.refresh(&mesh, inline()));
         assert_matches_oracle(&sharded, &mesh);
     }
 
@@ -733,7 +681,7 @@ mod tests {
         for k in keys {
             hash_adapt(&mut mesh, k);
         }
-        let resident = ShardedMesh::new(&mesh, 6);
+        let resident = ShardedMesh::new(&mesh, 6, inline());
         let bounds = plan_shard_bounds(&mesh, 6);
         let mut g = ShardGraph::default();
         for s in 0..6 {
@@ -751,7 +699,7 @@ mod tests {
         for k in keys {
             hash_adapt(&mut mesh, k);
         }
-        let sharded = ShardedMesh::new(&mesh, 5);
+        let sharded = ShardedMesh::new(&mesh, 5, inline());
         let oracle = mesh.neighbor_graph();
         for b in 0..mesh.num_blocks() {
             let id = BlockId(b as u32);
@@ -761,29 +709,34 @@ mod tests {
 
     #[test]
     fn parallel_rebuild_is_bitwise_identical_to_serial() {
-        let pool = WorkerPool::new(4);
-        for threads in [1usize, 2, 4] {
+        // Construction, incremental refreshes and the full-rebuild fallback
+        // on pools of 1, 2 and 3 threads all produce the same shards.
+        let run = |pool: &WorkerPool| -> Vec<ShardedMesh> {
             let (mut mesh, keys) = random_mesh_steps(Dim::D3, 3, 29);
-            let mut serial: Option<ShardedMesh> = None;
-            let mut parallel: Option<ShardedMesh> = None;
+            let mut sharded: Option<ShardedMesh> = None;
+            let mut snapshots = Vec::new();
             for (i, k) in keys.iter().enumerate() {
                 hash_adapt(&mut mesh, *k);
-                if i == 0 {
-                    serial = Some(ShardedMesh::new(&mesh, 6));
-                    parallel = Some(ShardedMesh::new_on(&mesh, 6, &pool, threads));
-                } else {
-                    let s = serial.as_mut().unwrap();
-                    let p = parallel.as_mut().unwrap();
-                    s.refresh(&mesh);
-                    p.refresh_on(&mesh, &pool, threads);
-                    if i == 2 {
-                        // Force the parallel full-rebuild fallback too.
-                        mesh.force_full_rebuild();
-                        assert!(!p.refresh_on(&mesh, &pool, threads));
-                        assert!(!s.refresh(&mesh));
+                match sharded.as_mut() {
+                    None => sharded = Some(ShardedMesh::new(&mesh, 6, pool)),
+                    Some(sm) => {
+                        sm.refresh(&mesh, pool);
+                        if i == 2 {
+                            mesh.force_full_rebuild();
+                            assert!(!sm.refresh(&mesh, pool), "stale delta must rebuild");
+                        }
                     }
                 }
-                let (s, p) = (serial.as_ref().unwrap(), parallel.as_ref().unwrap());
+                let sm = sharded.as_ref().unwrap();
+                assert_matches_oracle(sm, &mesh);
+                snapshots.push(sm.clone());
+            }
+            snapshots
+        };
+        let one = run(&WorkerPool::new(1));
+        for threads in [2usize, 3] {
+            let pooled = run(&WorkerPool::new(threads));
+            for (s, p) in one.iter().zip(&pooled) {
                 assert_eq!(s.shard_starts(), p.shard_starts());
                 for sh in 0..s.num_shards() {
                     assert_eq!(s.shard(sh).entries, p.shard(sh).entries);
@@ -791,7 +744,6 @@ mod tests {
                     assert_eq!(s.shard(sh).halo, p.shard(sh).halo);
                     assert_eq!(s.shard(sh).cross, p.shard(sh).cross);
                 }
-                assert_matches_oracle(p, &mesh);
             }
         }
     }
@@ -800,11 +752,11 @@ mod tests {
     fn more_shards_than_blocks_degenerates_gracefully() {
         let mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (32, 32, 1), 1));
         let n = mesh.num_blocks();
-        let mut sharded = ShardedMesh::new(&mesh, n * 2);
+        let mut sharded = ShardedMesh::new(&mesh, n * 2, inline());
         assert_matches_oracle(&sharded, &mesh);
         let mut mesh = mesh;
         hash_adapt(&mut mesh, 5);
-        sharded.refresh(&mesh);
+        sharded.refresh(&mesh, inline());
         assert_matches_oracle(&sharded, &mesh);
     }
 }

@@ -24,7 +24,8 @@
 //!   zero allocation) instead of cold.
 //! * **Telemetry queries.** A session's last simulated epoch keeps its
 //!   [`EventTable`]; [`Request::Query`] runs the `amr-telemetry` query
-//!   engine over it and returns a flat [`QuerySummary`]-shaped response.
+//!   engine over it and returns a flat
+//!   [`QuerySummary`](amr_telemetry::QuerySummary)-shaped response.
 //!
 //! Determinism contract: a session's responses are a pure function of its
 //! own request sequence — the per-session FIFO plus slot ownership in the

@@ -257,3 +257,35 @@ fn batched_drain_is_bitwise_identical_to_serial_at_any_thread_count() {
         assert_eq!(run(threads), serial, "threads={threads}");
     }
 }
+
+#[test]
+fn concurrent_sessions_share_the_global_pool_without_hanging() {
+    // Each session's simulator builds its neighbor graph on
+    // `WorkerPool::global()`. At 13 245 blocks the build is past the
+    // chunking threshold, so both service workers dispatch on the shared
+    // pool at once; the one that finds it busy builds inline. Several
+    // rounds, because the collision is a race.
+    let mesh = random_refined_mesh(8192, 1.6, 7);
+    assert_eq!(mesh.num_blocks(), 13_245);
+    let mut svc = Service::new(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let ids: Vec<SessionId> = (0..4)
+        .map(|_| svc.open_session(mesh.clone(), spec(64)))
+        .collect();
+    for _ in 0..8 {
+        for &id in &ids {
+            svc.submit(id, Request::Simulate { steps: 1 });
+        }
+        assert_eq!(svc.drain(), 4);
+        for &id in &ids {
+            assert!(
+                matches!(svc.responses(id), [Response::Simulated { steps: 1, .. }]),
+                "{:?}",
+                svc.responses(id)
+            );
+            svc.clear_responses(id);
+        }
+    }
+}

@@ -25,18 +25,17 @@
 //!   the patched graph for surviving relations and zeros the rest, so
 //!   observations persist through AMR instead of resetting every adapt.
 //! - **Deterministic, and invisible to virtual time.** The ledger only
-//!   *reads* simulation state — flushing from worker threads uses the same
-//!   contiguous-ownership rule as [`crate::par`] (each task owns a block
-//!   range, hence a disjoint CSR entry range), and the per-task byte totals
-//!   are `u64` (associative), merged in task order. A run with the ledger on
+//!   *reads* simulation state. Its one flush runs on a [`WorkerPool`] under
+//!   the same contiguous-ownership rule as the simulator's exchange kernels
+//!   (each task owns a block range, hence a disjoint CSR entry range), and
+//!   the per-task byte totals are `u64` (associative), merged in task order,
+//!   so the bytes are identical at any thread count. A run with the ledger on
 //!   is bitwise identical in virtual time to the same run with it off until
 //!   a policy actually consumes the weights (pinned by tests).
 
 use amr_core::cost::CostOrigin;
-use amr_mesh::pool::Disjoint;
+use amr_mesh::pool::{Disjoint, WorkerPool};
 use amr_mesh::{BlockSpec, Dim, NeighborGraph, NeighborKind};
-
-use crate::exec::SimCommunicator;
 
 /// Per-relation observed-byte accumulator for a flat [`NeighborGraph`].
 #[derive(Debug, Default)]
@@ -54,6 +53,8 @@ pub struct ExchangeByteLedger {
     old_neighbor: Vec<u32>,
     old_bytes: Vec<u64>,
     staged: bool,
+    /// Per-task byte totals of the last flush (capacity reused).
+    partials: Vec<u64>,
     /// Lifetime tallies (reported via trace counters).
     flushes: u64,
     remaps: u64,
@@ -85,51 +86,24 @@ impl ExchangeByteLedger {
     /// Materialize pending rounds/steps into per-relation bytes: every
     /// relation gains `rounds · message_bytes(codim)`, and fine→coarse Face
     /// relations additionally gain `steps · message_bytes(1)/4` of flux
-    /// correction — exactly the per-relation charges `fill_epoch` models.
-    /// Serial; see [`flush_on`](Self::flush_on) for the pooled variant.
-    pub fn flush(&mut self, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
-        if self.pending_rounds == 0 && self.pending_steps == 0 {
-            return;
-        }
-        debug_assert_eq!(self.bytes.len(), graph.total_relations());
-        let (rounds, steps) = (self.pending_rounds, self.pending_steps);
-        let mut added = 0u64;
-        let mut entry = 0usize;
-        for (_, nbs) in graph.iter() {
-            for n in nbs {
-                let add = relation_bytes(spec, dim, n.kind, n.level_delta, rounds, steps);
-                self.bytes[entry] = self.bytes[entry].saturating_add(add);
-                added = added.saturating_add(add);
-                entry += 1;
-            }
-        }
-        self.finish_flush(added);
-    }
-
-    /// Pooled [`flush`](Self::flush): tasks own contiguous *block* ranges,
-    /// hence pairwise-disjoint CSR entry ranges (`row_start(lo)..row_start(hi)`),
-    /// so each byte slot has exactly one writer; the per-task `u64` totals
-    /// are associative and merge in task order. Bitwise identical to the
-    /// serial flush at any thread count.
-    pub fn flush_on<C: SimCommunicator>(
-        &mut self,
-        comm: &C,
-        graph: &NeighborGraph,
-        spec: BlockSpec,
-        dim: Dim,
-        partials: &mut Vec<u64>,
-    ) {
+    /// correction — exactly the per-relation charges the epoch fill models.
+    ///
+    /// Tasks on `pool` own contiguous *block* ranges, hence pairwise-disjoint
+    /// CSR entry ranges (`row_start(lo)..row_start(hi)`), so each byte slot
+    /// has exactly one writer; the per-task `u64` totals are associative and
+    /// merge in task order. Bitwise identical at any thread count.
+    pub fn flush(&mut self, pool: &WorkerPool, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
         if self.pending_rounds == 0 && self.pending_steps == 0 {
             return;
         }
         debug_assert_eq!(self.bytes.len(), graph.total_relations());
         let (rounds, steps) = (self.pending_rounds, self.pending_steps);
         let n = graph.num_blocks();
-        let t_n = comm.threads().min(n).max(1);
-        partials.clear();
-        partials.resize(t_n, 0);
+        let t_n = pool.threads().min(n).max(1);
+        self.partials.clear();
+        self.partials.resize(t_n, 0);
         let out = Disjoint::new(&mut self.bytes);
-        comm.run_with(partials, |t, total| {
+        pool.run_with(&mut self.partials, |t, total| {
             let (blo, bhi) = (t * n / t_n, (t + 1) * n / t_n);
             let (elo, ehi) = (graph.row_start(blo), graph.row_start(bhi));
             // SAFETY: block ranges are pairwise disjoint and contiguous, so
@@ -145,7 +119,7 @@ impl ExchangeByteLedger {
                 }
             }
         });
-        let added = partials.iter().fold(0u64, |a, &p| a.saturating_add(p));
+        let added = self.partials.iter().fold(0u64, |a, &p| a.saturating_add(p));
         self.finish_flush(added);
     }
 
@@ -160,8 +134,14 @@ impl ExchangeByteLedger {
     /// (about-to-be-patched) graph, then capture its layout so
     /// [`apply_remesh`](Self::apply_remesh) can carry surviving relations'
     /// bytes across. Call before `patch_neighbor_graph`.
-    pub fn prepare_remesh(&mut self, graph: &NeighborGraph, spec: BlockSpec, dim: Dim) {
-        self.flush(graph, spec, dim);
+    pub fn prepare_remesh(
+        &mut self,
+        pool: &WorkerPool,
+        graph: &NeighborGraph,
+        spec: BlockSpec,
+        dim: Dim,
+    ) {
+        self.flush(pool, graph, spec, dim);
         let n = graph.num_blocks();
         self.old_offsets.clear();
         self.old_offsets.push(0);
@@ -275,8 +255,11 @@ fn relation_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::PooledCommunicator;
     use amr_mesh::{AmrMesh, MeshConfig};
+
+    fn pool() -> WorkerPool {
+        WorkerPool::new(1)
+    }
 
     fn mesh() -> AmrMesh {
         AmrMesh::new(MeshConfig::from_cells(Dim::D3, (64, 64, 64), 1))
@@ -292,7 +275,7 @@ mod tests {
         led.begin_run(&g);
         led.note_step(3);
         led.note_step(3);
-        led.flush(&g, spec, dim);
+        led.flush(&pool(), &g, spec, dim);
         assert!(led.has_observations());
         let mut entry = 0usize;
         for (_, nbs) in g.iter() {
@@ -310,19 +293,18 @@ mod tests {
         let g = m.neighbor_graph();
         let spec = m.config().spec;
         let dim = m.config().dim;
-        let mut serial = ExchangeByteLedger::default();
-        serial.begin_run(&g);
-        serial.note_step(3);
-        serial.flush(&g, spec, dim);
-        for threads in [2usize, 4] {
-            let comm = PooledCommunicator::new(threads);
-            let mut par = ExchangeByteLedger::default();
-            par.begin_run(&g);
-            par.note_step(3);
-            let mut partials = Vec::new();
-            par.flush_on(&comm, &g, spec, dim, &mut partials);
-            assert_eq!(serial.bytes(), par.bytes(), "threads = {threads}");
-            assert_eq!(serial.observed_total(), par.observed_total());
+        let flushed = |threads: usize| {
+            let mut led = ExchangeByteLedger::default();
+            led.begin_run(&g);
+            led.note_step(3);
+            led.flush(&WorkerPool::new(threads), &g, spec, dim);
+            led
+        };
+        let one = flushed(1);
+        for threads in [2usize, 3] {
+            let pooled = flushed(threads);
+            assert_eq!(one.bytes(), pooled.bytes(), "threads = {threads}");
+            assert_eq!(one.observed_total(), pooled.observed_total());
         }
     }
 
@@ -333,12 +315,12 @@ mod tests {
         let (spec, dim) = (m.config().spec, m.config().dim);
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
-        led.flush(&g, spec, dim); // nothing pending: no flush recorded
+        led.flush(&pool(), &g, spec, dim); // nothing pending: no flush recorded
         assert_eq!(led.flushes(), 0);
         led.note_step(1);
-        led.flush(&g, spec, dim);
+        led.flush(&pool(), &g, spec, dim);
         let snapshot: Vec<u64> = led.bytes().to_vec();
-        led.flush(&g, spec, dim); // still nothing new pending
+        led.flush(&pool(), &g, spec, dim); // still nothing new pending
         assert_eq!(led.bytes(), &snapshot[..]);
         assert_eq!(led.flushes(), 1);
     }
@@ -351,7 +333,7 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(3);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool(), &g, spec, dim);
         let before: Vec<u64> = led.old_bytes.clone();
         let origins: Vec<CostOrigin> = (0..g.num_blocks()).map(CostOrigin::Same).collect();
         led.apply_remesh(Some(&origins), &g);
@@ -367,7 +349,7 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(1);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool(), &g, spec, dim);
         led.apply_remesh(None, &g);
         assert!(!led.has_observations());
         assert!(led.bytes().iter().all(|&b| b == 0));
@@ -381,7 +363,7 @@ mod tests {
         let mut led = ExchangeByteLedger::default();
         led.begin_run(&g);
         led.note_step(2);
-        led.prepare_remesh(&g, spec, dim);
+        led.prepare_remesh(&pool(), &g, spec, dim);
         // Pretend block 0 was replaced: everything touching it resets.
         let origins: Vec<CostOrigin> = (0..g.num_blocks())
             .map(|i| {

@@ -29,7 +29,6 @@
 
 pub mod collectives;
 pub mod events;
-pub mod exec;
 pub mod faults;
 pub mod health;
 pub mod ledger;
@@ -42,7 +41,6 @@ pub mod report;
 pub mod topology;
 
 pub use collectives::{cheapest_algo, CollectiveAlgo, CollectiveSelect};
-pub use exec::{PooledCommunicator, SerialCommunicator, SimCommunicator};
 pub use faults::{FaultConfig, FaultEpisode, FaultResponse, FaultTimeline};
 pub use health::{blacklist_and_rehost, run_health_check, run_health_check_at, HealthCheck};
 pub use ledger::ExchangeByteLedger;

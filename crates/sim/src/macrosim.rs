@@ -24,7 +24,6 @@
 //! the full telemetry-driven placement loop of the paper.
 
 use crate::collectives::{self, CollectiveAlgo, CollectiveSelect};
-use crate::exec::{SimCommunicator, SimExec};
 use crate::faults::{FaultResponse, FaultTimeline};
 use crate::health::blacklist_and_rehost;
 use crate::network::NetworkConfig;
@@ -36,6 +35,7 @@ use amr_core::engine::PlacementEngine;
 use amr_core::policies::PlacementPolicy;
 use amr_core::trigger::{RebalanceTrigger, TriggerContext};
 use amr_core::Placement;
+use amr_mesh::pool::WorkerPool;
 use amr_mesh::{AmrMesh, BlockId, Neighbor, NeighborGraph, PatchScratch, ShardedMesh};
 use amr_telemetry::anomaly::{OnlineDetectorConfig, OnlineThrottleDetector};
 use amr_telemetry::trace::{
@@ -154,15 +154,15 @@ pub struct SimConfig {
     /// resident global [`NeighborGraph`]. Policies that ignore edge weights
     /// see bit-identical virtual time with this on or off.
     pub observe_exchange_bytes: bool,
-    /// OS threads the in-process simulator may use. `1` (the default) runs
-    /// every kernel inline as a single task that owns every rank. Larger
-    /// values spawn a simulator-owned worker pool and execute the same
-    /// kernels — epoch fill, compute scatter, ready/finish, and (sharded
-    /// runs) shard rebuilds — on real threads under the slot-ownership rule
-    /// of [`crate::par`], which keeps virtual time **bitwise identical** at
-    /// any thread count. The pool is sized exactly `threads`, not the
-    /// host's core count, so the parallel code paths are genuinely
-    /// exercised (timesharing if need be) even on small machines.
+    /// OS threads of the simulator-owned worker pool every kernel runs on —
+    /// epoch fill, compute scatter, ready/finish, ledger flushes and
+    /// (sharded runs) shard rebuilds. `1` (the default) spawns no thread:
+    /// each kernel runs inline as a single task that owns every rank. Larger
+    /// values split the same kernels over real threads under the
+    /// slot-ownership rule (DESIGN.md §14), which keeps virtual time
+    /// **bitwise identical** at any thread count. The pool is sized exactly
+    /// `threads`, not the host's core count, so the parallel code paths are
+    /// genuinely exercised (timesharing if need be) even on small machines.
     pub threads: usize,
     /// Which allreduce algorithm closes each step's synchronization: a fixed
     /// [`CollectiveAlgo`] (the default pins the legacy binomial tree,
@@ -413,17 +413,15 @@ pub struct MacroSim {
     /// Optional trace handle shared with the engine (and, by callers, the
     /// mesh): per-step virtual spans plus pipeline counters/gauges.
     trace: Option<TraceHandle>,
-    /// Communicator the phase kernels run on: inline at
-    /// `config.threads == 1`, otherwise a worker pool owned by the simulator
-    /// (not the process-global pool) so workers persist across steps and
-    /// runs — steady-state dispatch allocates nothing.
-    exec: SimExec,
+    /// Pool every kernel runs on, sized `config.threads` (one thread runs
+    /// each job inline). Owned by the simulator, not the process-global
+    /// pool, so workers persist across steps and runs — steady-state
+    /// dispatch allocates nothing.
+    pool: WorkerPool,
     /// Observed exchange-byte accumulator (active only with
     /// `config.observe_exchange_bytes`); owned by the simulator so its
     /// buffers stay warm across runs.
     ledger: crate::ledger::ExchangeByteLedger,
-    /// Per-task byte partials for the pooled ledger flush.
-    ledger_partials: Vec<u64>,
     /// The always-on feedback plane: the same metrics registry shape the
     /// trace pipeline uses, but owned by the simulator and updated every
     /// step whether or not tracing is attached. The rebalance trigger reads
@@ -452,16 +450,15 @@ impl MacroSim {
             .validate()
             .map_err(|e| format!("invalid SimConfig: {e}"))?;
         let seed = config.seed;
-        let exec = SimExec::new(config.threads);
+        let pool = WorkerPool::new(config.threads);
         Ok(MacroSim {
             config,
             rng: StdRng::seed_from_u64(seed),
             engine: PlacementEngine::new(),
             patch_scratch: PatchScratch::default(),
             trace: None,
-            exec,
+            pool,
             ledger: crate::ledger::ExchangeByteLedger::default(),
-            ledger_partials: Vec::new(),
             feedback: MetricsRegistry::new(),
         })
     }
@@ -589,15 +586,14 @@ impl MacroSim {
             None
         };
         let mut sharded_mesh: Option<ShardedMesh> = if cfg.num_shards > 0 {
-            Some(match self.exec.pooled() {
-                // Shard builds distribute over the simulator's own pool; the
-                // rows are pure functions of (tree, range), so chunking does
-                // not change their contents.
-                Some(ex) => {
-                    ShardedMesh::new_on(workload.mesh(), cfg.num_shards, ex.pool(), ex.threads())
-                }
-                None => ShardedMesh::new(workload.mesh(), cfg.num_shards),
-            })
+            // Shard builds distribute over the simulator's own pool; the
+            // rows are pure functions of (tree, range), so chunking does not
+            // change their contents.
+            Some(ShardedMesh::new(
+                workload.mesh(),
+                cfg.num_shards,
+                &self.pool,
+            ))
         } else {
             None
         };
@@ -683,14 +679,7 @@ impl MacroSim {
                     // flush pending observations against the dying graph and
                     // stage its layout before the patch rewrites it...
                     if observe {
-                        match self.exec.pooled() {
-                            Some(comm) => {
-                                self.ledger
-                                    .flush_on(comm, g, spec, dim, &mut self.ledger_partials)
-                            }
-                            None => self.ledger.flush(g, spec, dim),
-                        }
-                        self.ledger.prepare_remesh(g, spec, dim);
+                        self.ledger.prepare_remesh(&self.pool, g, spec, dim);
                     }
                     // Incremental repair: only CSR rows touching changed
                     // octants are rebuilt (falls back to a full build when
@@ -712,13 +701,10 @@ impl MacroSim {
                     // path's fallback.
                     let patched = {
                         let _span = trace.as_ref().map(|t| t.span(TracePhase::GraphPatch));
-                        match self.exec.pooled() {
-                            // The incremental splice stays serial either way
-                            // (a single in-order pass); only the full-rebuild
-                            // fallback fans out over the pool.
-                            Some(ex) => sm.refresh_on(workload.mesh(), ex.pool(), ex.threads()),
-                            None => sm.refresh(workload.mesh()),
-                        }
+                        // The incremental splice stays on this thread (a
+                        // single in-order pass); only the full-rebuild
+                        // fallback fans out over the pool.
+                        sm.refresh(workload.mesh(), &self.pool)
                     };
                     if let Some(t) = &trace {
                         if patched {
@@ -803,13 +789,7 @@ impl MacroSim {
                 // leaves their virtual time bit-identical (pinned by test).
                 let edge_weights = if observe {
                     let g = flat_graph.as_ref().expect("flat path");
-                    match self.exec.pooled() {
-                        Some(comm) => {
-                            self.ledger
-                                .flush_on(comm, g, spec, dim, &mut self.ledger_partials)
-                        }
-                        None => self.ledger.flush(g, spec, dim),
-                    }
+                    self.ledger.flush(&self.pool, g, spec, dim);
                     self.ledger.has_observations().then(|| self.ledger.bytes())
                 } else {
                     None
@@ -901,7 +881,7 @@ impl MacroSim {
                 }
             }
             par::compute_phase(
-                &self.exec,
+                &self.pool,
                 block_ns,
                 placement,
                 &rank_mult,
@@ -932,7 +912,7 @@ impl MacroSim {
             // by 1.0 is bit-exact) stretch the fabric-facing terms: dispatch,
             // service, flux, and the transfer tail. Memcpys don't ride the NIC.
             par::ready_finish(
-                &self.exec,
+                &self.pool,
                 cfg.exchanges_per_step as f64,
                 cfg.send_coupling,
                 cfg.overlap_efficiency,
@@ -1189,7 +1169,7 @@ impl MacroSim {
 
     /// Fill per-rank communication aggregates for a (mesh, placement) epoch
     /// into the reused `e` through [`par::fill_epoch`] on the simulator's
-    /// communicator. `graph` is the cached neighbor topology of `mesh` —
+    /// pool. `graph` is the cached neighbor topology of `mesh` —
     /// flat or sharded, both walk identical rows in identical order;
     /// `shm_in` and `partials` are pooled scratch buffers.
     fn fill_epoch(
@@ -1204,7 +1184,7 @@ impl MacroSim {
         let cfg = &self.config;
         let mut fill = |lanes: Option<(&mut [WorkerLane], u32)>| {
             par::fill_epoch(
-                &self.exec,
+                &self.pool,
                 &cfg.topology,
                 &cfg.network,
                 mesh.config().spec,
@@ -1218,11 +1198,11 @@ impl MacroSim {
             )
         };
         // Worker lanes observe wall clock per task (host track only) when
-        // the fill runs on the pool; they feed nothing back, so traced and
-        // untraced runs stay bit-identical in virtual time.
-        match (&self.trace, self.exec.pooled()) {
-            (Some(t), Some(comm)) => {
-                let tasks = comm.threads().min(cfg.topology.num_ranks).max(1);
+        // the fill runs on more than one thread; they feed nothing back, so
+        // traced and untraced runs stay bit-identical in virtual time.
+        match &self.trace {
+            Some(t) if self.pool.threads() > 1 => {
+                let tasks = self.pool.threads().min(cfg.topology.num_ranks).max(1);
                 t.sink.ensure_lanes(tasks, par::LANE_SPAN_CAPACITY);
                 let step = t.sink.step();
                 t.sink.with_lanes_mut(|lanes| fill(Some((lanes, step))));

@@ -1,9 +1,8 @@
 //! The macro-simulator's per-step exchange kernels: epoch fill, compute
-//! scatter and ready/finish. Each exists once. The simulator drives them
-//! through a [`SimCommunicator`]: `threads == 1` is the single-owner case
-//! ([`SerialCommunicator`](crate::exec::SerialCommunicator) runs one task
-//! that owns every rank), and more threads split the same work over a
-//! [`PooledCommunicator`](crate::exec::PooledCommunicator).
+//! scatter and ready/finish. Each exists once and takes the simulator's
+//! [`WorkerPool`]: `threads == 1` is the single-owner case (the one-thread
+//! pool runs one task, inline, that owns every rank), and more threads split
+//! the same work over the pool's workers.
 //!
 //! Every kernel follows one rule — **slot ownership**: the rank space `0..r`
 //! is split into `threads` contiguous ranges, and each task writes only the
@@ -25,12 +24,11 @@
 //! mutable state crosses the dispatch boundary only through
 //! [`Disjoint`](amr_mesh::pool::Disjoint) range ownership.
 
-use crate::exec::SimCommunicator;
 use crate::macrosim::{CommEpoch, GraphView};
 use crate::network::NetworkConfig;
 use crate::topology::Topology;
 use amr_core::Placement;
-use amr_mesh::pool::Disjoint;
+use amr_mesh::pool::{Disjoint, WorkerPool};
 use amr_mesh::{BlockSpec, Dim, NeighborKind};
 use amr_telemetry::{TracePhase, WorkerLane};
 
@@ -165,8 +163,8 @@ impl RelationCosts {
 /// wall clock only and feed nothing back, so traced runs stay bit-identical
 /// to untraced ones.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_epoch<C: SimCommunicator>(
-    comm: &C,
+pub(crate) fn fill_epoch(
+    pool: &WorkerPool,
     topology: &Topology,
     network: &NetworkConfig,
     spec: BlockSpec,
@@ -179,7 +177,7 @@ pub(crate) fn fill_epoch<C: SimCommunicator>(
     lanes: Option<(&mut [WorkerLane], u32)>,
 ) {
     let r = topology.num_ranks;
-    let t_n = comm.threads().min(r).max(1);
+    let t_n = pool.threads().min(r).max(1);
     let nodes = topology.num_nodes();
     let congestion = network.congestion_enabled();
     let costs = RelationCosts::new(network, spec, dim);
@@ -229,7 +227,7 @@ pub(crate) fn fill_epoch<C: SimCommunicator>(
         None => (None, 0),
     };
 
-    comm.run_with(partials, |t, p| {
+    pool.run_with(partials, |t, p| {
         let (lo, hi) = own_range(t, t_n, r);
         // SAFETY: tasks own pairwise-disjoint rank ranges [lo, hi); every
         // slice below is indexed only by owned ranks (rk - lo), and the
@@ -371,8 +369,8 @@ fn fill_congestion(topology: &Topology, network: &NetworkConfig, e: &mut CommEpo
 /// record. Each task zeroes and accumulates only its owned ranks' `compute`
 /// slots; `measured[b]` is written exactly once, by the owner of block
 /// `b`'s rank. `measured` must already hold one slot per block.
-pub(crate) fn compute_phase<C: SimCommunicator>(
-    comm: &C,
+pub(crate) fn compute_phase(
+    pool: &WorkerPool,
     block_ns: &[f64],
     placement: &Placement,
     rank_mult: &[f64],
@@ -380,10 +378,10 @@ pub(crate) fn compute_phase<C: SimCommunicator>(
     measured: &mut [f64],
 ) {
     let r = compute.len();
-    let t_n = comm.threads().min(r).max(1);
+    let t_n = pool.threads().min(r).max(1);
     let comp = Disjoint::new(compute);
     let meas = Disjoint::new(measured);
-    comm.run(t_n, |t| {
+    pool.run(t_n, |t| {
         let (lo, hi) = own_range(t, t_n, r);
         // SAFETY: rank ranges are pairwise disjoint; each `measured[b]` has
         // exactly one writer (the owner of `placement.rank_of(b)`).
@@ -410,8 +408,8 @@ pub(crate) fn compute_phase<C: SimCommunicator>(
 /// model is disabled, and NIC slowdowns 1.0 on healthy timelines, so both
 /// are bit-exact no-ops there.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ready_finish<C: SimCommunicator>(
-    comm: &C,
+pub(crate) fn ready_finish(
+    pool: &WorkerPool,
     xs: f64,
     send_coupling: f64,
     overlap_efficiency: f64,
@@ -423,11 +421,11 @@ pub(crate) fn ready_finish<C: SimCommunicator>(
     finish: &mut [f64],
 ) {
     let r = compute.len();
-    let t_n = comm.threads().min(r).max(1);
+    let t_n = pool.threads().min(r).max(1);
     {
         let arrival = Disjoint::new(send_arrival);
         let ready = Disjoint::new(ready);
-        comm.run(t_n, |t| {
+        pool.run(t_n, |t| {
             let (lo, hi) = own_range(t, t_n, r);
             // SAFETY: tasks own pairwise-disjoint rank ranges [lo, hi).
             let arrival = unsafe { arrival.slice(lo, hi) };
@@ -445,7 +443,7 @@ pub(crate) fn ready_finish<C: SimCommunicator>(
     }
     let (send_arrival, ready) = (&*send_arrival, &*ready);
     let finish = Disjoint::new(finish);
-    comm.run(t_n, |t| {
+    pool.run(t_n, |t| {
         let (lo, hi) = own_range(t, t_n, r);
         // SAFETY: tasks own pairwise-disjoint rank ranges [lo, hi).
         let finish = unsafe { finish.slice(lo, hi) };

@@ -2,7 +2,6 @@
 //! senders, same-rank flux fix-ups, and warm refills.
 
 use super::*;
-use crate::exec::{PooledCommunicator, SerialCommunicator};
 use amr_mesh::{AmrMesh, MeshConfig, NeighborGraph, RefineTag};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
@@ -65,8 +64,8 @@ struct Scratch {
     partials: Vec<EpochPartial>,
 }
 
-fn fill<C: SimCommunicator>(
-    comm: &C,
+fn fill(
+    pool: &WorkerPool,
     mesh: &AmrMesh,
     graph: &NeighborGraph,
     network: &NetworkConfig,
@@ -74,7 +73,7 @@ fn fill<C: SimCommunicator>(
     s: &mut Scratch,
 ) {
     fill_epoch(
-        comm,
+        pool,
         &Topology::new(placement.num_ranks(), 2),
         network,
         mesh.config().spec,
@@ -103,12 +102,12 @@ fn rank_without_senders_gets_zero_arrival_and_no_transfer_tail() {
     e.sender_offsets.copy_from_slice(&[0, 0, 1]);
     e.senders.push(0);
     e.transfer_tail_ns.copy_from_slice(&[7_000.0, 300.0]);
-    fn check<C: SimCommunicator>(comm: &C, e: &CommEpoch) {
+    fn check(pool: &WorkerPool, e: &CommEpoch) {
         let (mut arrival, mut ready, mut finish) = ([0.0; 2], [0.0; 2], [0.0; 2]);
         let (compute, nic) = ([1_000.0, 10.0], [1.0, 1.0]);
         let (xs, coupling, overlap) = (1.0, 1.0, 0.0);
         ready_finish(
-            comm,
+            pool,
             xs,
             coupling,
             overlap,
@@ -124,8 +123,8 @@ fn rank_without_senders_gets_zero_arrival_and_no_transfer_tail() {
         // Rank 1 waits for rank 0's send (1·1000 + 100) plus its tail.
         assert_eq!(finish[1], 1_400.0);
     }
-    check(&SerialCommunicator, &e);
-    check(&PooledCommunicator::new(2), &e);
+    check(&WorkerPool::new(1), &e);
+    check(&WorkerPool::new(2), &e);
 }
 
 #[test]
@@ -152,7 +151,7 @@ fn duplicate_senders_are_deduplicated_in_the_csr() {
     let network = NetworkConfig::tuned();
     let mut single = Scratch::default();
     fill(
-        &SerialCommunicator,
+        &WorkerPool::new(1),
         &mesh,
         &graph,
         &network,
@@ -168,7 +167,7 @@ fn duplicate_senders_are_deduplicated_in_the_csr() {
     // The pooled fill builds the same epoch, floats bit for bit.
     let mut pooled = Scratch::default();
     fill(
-        &PooledCommunicator::new(2),
+        &WorkerPool::new(2),
         &mesh,
         &graph,
         &network,
@@ -186,7 +185,7 @@ fn same_rank_fine_to_coarse_face_charges_flux_memcpy_not_dispatch() {
     let network = NetworkConfig::tuned();
     let mut s = Scratch::default();
     fill(
-        &SerialCommunicator,
+        &WorkerPool::new(1),
         &mesh,
         &graph,
         &network,
@@ -227,14 +226,15 @@ fn warm_refill_at_a_different_rank_count_allocates_nothing() {
     let small = round_robin(mesh.num_blocks(), 4);
     let large = round_robin(mesh.num_blocks(), 7);
     let mut s = Scratch::default();
+    let pool = WorkerPool::new(1);
     let cold = thread_allocs();
     for p in [&small, &large] {
-        fill(&SerialCommunicator, &mesh, &graph, &network, p, &mut s);
+        fill(&pool, &mesh, &graph, &network, p, &mut s);
     }
     assert!(thread_allocs() > cold, "cold fills must grow the scratch");
     let before = thread_allocs();
     for p in [&small, &large, &small] {
-        fill(&SerialCommunicator, &mesh, &graph, &network, p, &mut s);
+        fill(&pool, &mesh, &graph, &network, p, &mut s);
     }
     assert_eq!(thread_allocs() - before, 0, "warm refills allocated");
     assert!(s.e.cong_send_ns.iter().any(|&c| c > 0.0));

@@ -1,5 +1,5 @@
 //! Proof that the multi-core steady state is allocation-free *per worker*:
-//! once a [`PooledCommunicator`]'s threads are up and every worker lane's
+//! once a [`WorkerPool`]'s threads are up and every worker lane's
 //! ring exists, repeated pool dispatches — slot-ownership float
 //! accumulation, ZST `run` fan-outs, and per-worker host-span recording —
 //! never touch the heap from any thread. This is the guarantee that lets
@@ -11,8 +11,7 @@
 //! measurement. (Worker threads share the global allocator, which is the
 //! point — an allocation on *any* pool thread shows up in the count.)
 
-use amr_mesh::pool::Disjoint;
-use amr_sim::{PooledCommunicator, SimCommunicator};
+use amr_mesh::pool::{Disjoint, WorkerPool};
 use amr_telemetry::trace::{TraceHandle, TracePhase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,19 +47,19 @@ fn alloc_count() -> u64 {
 /// a shared buffer (the macrosim fill/compute pattern) and records one host
 /// span into its own lane (the traced-dispatch pattern).
 fn parallel_epoch(
-    comm: &PooledCommunicator,
+    pool: &WorkerPool,
     trace: &TraceHandle,
     buf: &mut [f64],
     partials: &mut [u64],
     step: u32,
 ) {
-    let t_n = comm.threads();
+    let t_n = pool.threads();
     let r = buf.len();
     let out = Disjoint::new(buf);
     trace.sink.set_step(step);
     trace.sink.with_lanes_mut(|lanes| {
         let lanes = Disjoint::new(lanes);
-        comm.run_with(partials, |t, p| {
+        pool.run_with(partials, |t, p| {
             let lane = unsafe { &mut lanes.slice(t, t + 1)[0] };
             let _span = lane.span(TracePhase::Exchange, step);
             let (lo, hi) = (t * r / t_n, (t + 1) * r / t_n);
@@ -76,7 +75,7 @@ fn parallel_epoch(
 #[test]
 fn steady_state_parallel_dispatch_is_allocation_free() {
     let threads = 4;
-    let comm = PooledCommunicator::new(threads);
+    let pool = WorkerPool::new(threads);
     let trace = TraceHandle::new(64);
     trace.sink.ensure_lanes(threads, 32);
     assert_eq!(trace.sink.lane_count(), threads);
@@ -88,7 +87,7 @@ fn steady_state_parallel_dispatch_is_allocation_free() {
     // runtime state (unwind tables, TLS) settles, and wrap the lane rings so
     // the measured rounds include the overwrite path.
     for step in 0..64 {
-        parallel_epoch(&comm, &trace, &mut buf, &mut partials, step);
+        parallel_epoch(&pool, &trace, &mut buf, &mut partials, step);
     }
 
     // Measured steady state: minimum delta over several rounds so unrelated
@@ -99,7 +98,7 @@ fn steady_state_parallel_dispatch_is_allocation_free() {
         let before = alloc_count();
         for step in 0..8 {
             parallel_epoch(
-                &comm,
+                &pool,
                 &trace,
                 &mut buf,
                 &mut partials,
@@ -114,16 +113,16 @@ fn steady_state_parallel_dispatch_is_allocation_free() {
         "steady-state parallel dispatch allocated {min_delta} times"
     );
 
-    // The ZST fan-out (`SimCommunicator::run`) must also be free: the unit
+    // The ZST fan-out (`WorkerPool::run`) must also be free: the unit
     // slice is conjured from a dangling pointer, never from the heap.
     let hits: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    comm.run(threads, |i| {
+    pool.run(threads, |i| {
         hits[i].fetch_add(1, Ordering::Relaxed);
     });
     let mut min_delta = u64::MAX;
     for _ in 0..5 {
         let before = alloc_count();
-        comm.run(threads, |i| {
+        pool.run(threads, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         let delta = alloc_count() - before;

@@ -231,7 +231,7 @@ pub mod prop {
         use crate::strategy::Strategy;
         use crate::StdRng;
 
-        /// Length bounds for [`vec`], inclusive on both ends. Converting
+        /// Length bounds for [`vec()`], inclusive on both ends. Converting
         /// from `usize` ranges pins integer-literal sizes to `usize`.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
@@ -265,7 +265,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy for `Vec`s with a sampled length (backs [`vec`]).
+        /// Strategy for `Vec`s with a sampled length (backs [`vec()`]).
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

@@ -40,9 +40,10 @@ fn bench_macro_steps(c: &mut Criterion) {
             let mut w = CoolingWorkload::new(CoolingConfig::new(mesh, 50));
             let mut cfg = SimConfig::tuned(64);
             cfg.telemetry_sampling = 1000; // effectively off
-            let mut sim = MacroSim::new(cfg);
+            let mut sim = MacroSim::try_new(cfg).unwrap();
             std::hint::black_box(
-                sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                sim.try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                    .unwrap()
                     .total_ns,
             )
         })

@@ -17,9 +17,10 @@ use amr_core::policies::{Blend, Cplx, PlacementPolicy};
 use amr_mesh::{AmrMesh, Dim, MeshConfig, Point, RefineTag};
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 64);
     let seed = args.get_u64("seed", 31);
+    args.finish();
 
     // A hot spherical band, like a Sedov front frozen in time.
     let hot = Point::new(

@@ -18,9 +18,10 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let scales = args.get_usize_list("ranks", &[4096, 16384]);
     let reps = args.get_usize("reps", 5);
+    args.finish();
 
     println!("== Ablation: CDP chunk size (quality vs wall time) ==\n");
 

@@ -18,10 +18,11 @@ use amr_sim::{MacroSim, SimConfig};
 use amr_workloads::SedovScenario;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 512);
     let step_scale = args.get_u64("step-scale", 200);
     let seed = args.get_u64("seed", 1);
+    args.finish();
 
     println!("== Ablation: async wait-masking vs placement (Sedov, {ranks} ranks) ==\n");
 
@@ -41,11 +42,14 @@ fn main() {
             // the same slack.)
             cfg.send_coupling = 0.5;
             cfg.telemetry_sampling = 64;
-            let rep = MacroSim::new(cfg).run(
-                &mut workload,
-                policy.as_ref(),
-                RebalanceTrigger::OnMeshChange,
-            );
+            let rep = MacroSim::try_new(cfg)
+                .expect("valid SimConfig")
+                .try_run(
+                    &mut workload,
+                    policy.as_ref(),
+                    RebalanceTrigger::OnMeshChange,
+                )
+                .expect("macrosim run");
             let base = *baseline_total.get_or_insert(rep.total_ns);
             rows.push(vec![
                 format!("{overlap:.1}"),

@@ -20,9 +20,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 512);
     let seed = args.get_u64("seed", 17);
+    args.finish();
 
     let mesh = random_refined_mesh(ranks, 1.6, seed);
     let n = mesh.num_blocks();

@@ -17,10 +17,11 @@ use amr_sim::{MacroSim, SimConfig};
 use amr_workloads::SedovScenario;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 512);
     let step_scale = args.get_u64("step-scale", 200);
     let seed = args.get_u64("seed", 1);
+    args.finish();
 
     println!("== Ablation: redistribution trigger policies (CPL50) ==");
     println!("   ({ranks} ranks, Sedov, steps = Table I / {step_scale})\n");
@@ -44,7 +45,10 @@ fn main() {
         let mut cfg = SimConfig::tuned(ranks);
         cfg.seed = seed;
         cfg.telemetry_sampling = 64;
-        let rep = MacroSim::new(cfg).run(&mut workload, &policy, trigger);
+        let rep = MacroSim::try_new(cfg)
+            .expect("valid SimConfig")
+            .try_run(&mut workload, &policy, trigger)
+            .expect("macrosim run");
         let base = *reference.get_or_insert(rep.total_ns);
         rows.push(vec![
             label.to_string(),

@@ -21,10 +21,11 @@ use amr_workloads::cooling::{CoolingConfig, CoolingWorkload};
 use amr_workloads::{InterfaceConfig, InterfaceWorkload, SedovScenario};
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 512);
     let step_scale = args.get_u64("step-scale", 400);
     let seed = args.get_u64("seed", 1);
+    args.finish();
 
     println!("== Ablation: compute variability vs placement benefit (CPL50) ==\n");
 
@@ -32,7 +33,10 @@ fn main() {
         let mut cfg = SimConfig::tuned(ranks);
         cfg.seed = seed;
         cfg.telemetry_sampling = 64;
-        MacroSim::new(cfg).run(workload, policy, RebalanceTrigger::OnMeshChange)
+        MacroSim::try_new(cfg)
+            .expect("valid SimConfig")
+            .try_run(workload, policy, RebalanceTrigger::OnMeshChange)
+            .expect("macrosim run")
     };
 
     let mut rows = Vec::new();

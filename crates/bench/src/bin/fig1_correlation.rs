@@ -34,10 +34,11 @@ fn per_rank_volume(spec: &RoundSpec) -> Vec<f64> {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 256);
     let rounds = args.get_usize("rounds", 200);
     let seed = args.get_u64("seed", 5);
+    args.finish();
 
     let mesh = random_refined_mesh(ranks, 1.8, seed);
     let costs = vec![1.0; mesh.num_blocks()];

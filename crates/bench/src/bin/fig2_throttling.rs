@@ -21,11 +21,12 @@ use amr_telemetry::{Phase, Query};
 use amr_workloads::{CoolingWorkload, SedovScenario};
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 256);
     let n_throttled = args.get_usize("throttled-nodes", 3);
     let seed = args.get_u64("seed", 2);
     let _ = args.get_u64("steps", 0); // step count comes from the scenario
+    args.finish();
 
     // Throttle a few interior nodes at the paper's observed 4x.
     let num_nodes = ranks / 16;
@@ -47,14 +48,16 @@ fn main() {
         cfg.faults = faults.into();
         cfg.seed = seed;
         cfg.telemetry_sampling = 1;
-        let mut sim = MacroSim::new(cfg);
+        let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
         let report = if [512, 1024, 2048, 4096].contains(&ranks) {
             let mut w = SedovScenario::for_ranks(ranks, 200).workload();
-            sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            sim.try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .expect("macrosim run")
         } else {
             let mesh = amr_mesh::MeshConfig::from_cells(amr_mesh::Dim::D3, (128, 128, 128), 1);
             let mut w = CoolingWorkload::new(amr_workloads::cooling::CoolingConfig::new(mesh, 150));
-            sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            sim.try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .expect("macrosim run")
         };
         println!(
             "-- {label}: total {:.2}s | compute {:.2}s | sync {:.2}s ({:.1}%) --",

@@ -26,10 +26,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 256);
     let rounds = args.get_usize("rounds", 100);
     let seed = args.get_u64("seed", 3);
+    args.finish();
 
     let mesh = random_refined_mesh(ranks, 1.8, seed);
     let placement = Baseline.place(&vec![1.0; mesh.num_blocks()], ranks);

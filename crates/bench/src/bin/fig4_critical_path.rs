@@ -71,10 +71,11 @@ fn random_window(ranks: usize, rng: &mut StdRng, sends_first: bool) -> Window {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let windows = args.get_usize("windows", 200);
     let ranks = args.get_usize("ranks", 64);
     let seed = args.get_u64("seed", 4);
+    args.finish();
 
     println!("== Fig. 4: critical paths within a synchronization window ==\n");
 

@@ -15,9 +15,10 @@ use amr_core::reorder::{order_by_key, permuted_place};
 use amr_mesh::{hilbert_key, sfc_key, AmrMesh, Dim, MeshConfig, Point, RefineTag};
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let ranks = args.get_usize("ranks", 4);
     let hilbert = args.flag("hilbert");
+    args.finish();
 
     // A 4x4-root 2D mesh refined near one corner, like the paper's figure.
     let mut mesh = AmrMesh::new(MeshConfig::from_cells(Dim::D2, (64, 64, 0), 1));

@@ -27,11 +27,12 @@ use amr_sim::{MacroSim, RunReport, SimConfig};
 use amr_workloads::SedovScenario;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let scales = args.get_usize_list("ranks", &[512, 1024, 2048, 4096]);
     let step_scale = args.get_u64("step-scale", 50);
     let seed = args.get_u64("seed", 1);
-    let csv_dir = args.get("csv", "").to_string();
+    let csv_dir = args.get("csv", "");
+    args.finish();
 
     println!("== Fig. 6: Sedov Blast Wave 3D, policies vs scale ==");
     println!("   (step counts = Table I / {step_scale}; virtual time; 16 ranks/node)\n");
@@ -47,12 +48,14 @@ fn main() {
             let mut cfg = SimConfig::tuned(ranks);
             cfg.seed = seed ^ (ranks as u64);
             cfg.telemetry_sampling = 16;
-            let mut sim = MacroSim::new(cfg);
-            let report = sim.run(
-                &mut workload,
-                policy.as_ref(),
-                RebalanceTrigger::OnMeshChange,
-            );
+            let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
+            let report = sim
+                .try_run(
+                    &mut workload,
+                    policy.as_ref(),
+                    RebalanceTrigger::OnMeshChange,
+                )
+                .expect("macrosim run");
             reports.push(report);
         }
         print_fig6a(ranks, &reports);

@@ -26,11 +26,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let scales = args.get_usize_list("ranks", &[512, 2048]);
     let meshes = args.get_usize("meshes", 10);
     let rounds = args.get_usize("rounds", 100);
     let seed = args.get_u64("seed", 11);
+    args.finish();
     let cold = 3usize; // discarded cold-start rounds per (mesh, policy)
     let outlier_ns = 10_000_000u64; // the paper's 10 ms discard threshold
 

@@ -24,11 +24,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let scales = args.get_usize_list("ranks", &[512, 4096, 32768]);
     let bpr = args.get_usize("blocks-per-rank", 2);
     let reps = args.get_usize("reps", 5);
     let seed = args.get_u64("seed", 7);
+    args.finish();
 
     println!("== Fig. 7b: scalebench — normalized makespan (lower is better) ==");
     println!("   ({bpr} blocks/rank, mean over {reps} seeds; 1.0 = perfect balance)\n");

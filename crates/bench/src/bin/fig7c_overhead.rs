@@ -38,10 +38,11 @@ impl PlacementPolicy for ParametricCdp {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let scales = args.get_usize_list("ranks", &[512, 2048, 8192, 16384, 65536, 131072]);
     let reps = args.get_usize("reps", 5);
     let bpr = args.get_usize("blocks-per-rank", 2);
+    args.finish();
 
     println!("== Fig. 7c: placement computation time vs scale (host wall-clock, ms) ==");
     println!("   ({bpr} blocks/rank; mean over {reps} runs; budget = 50 ms)\n");

@@ -17,9 +17,10 @@ use amr_sim::{MacroSim, SimConfig};
 use amr_workloads::SedovScenario;
 
 fn main() {
-    let args = Args::from_env();
+    let mut args = Args::from_env();
     let step_scale = args.get_u64("step-scale", 50);
     let scales = args.get_usize_list("ranks", &[512, 1024, 2048, 4096]);
+    args.finish();
 
     println!("== Table I: Sedov Blast Wave 3D configurations ==");
     println!(
@@ -33,8 +34,10 @@ fn main() {
         let mut workload = scenario.workload();
         let mut cfg = SimConfig::tuned(ranks);
         cfg.telemetry_sampling = 64;
-        let mut sim = MacroSim::new(cfg);
-        let rep = sim.run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange);
+        let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
+        let rep = sim
+            .try_run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange)
+            .expect("macrosim run");
 
         rows.push(vec![
             ranks.to_string(),

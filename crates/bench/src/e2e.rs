@@ -121,11 +121,13 @@ fn run_pipeline_with(
 
     let mut cfg = SimConfig::tuned(ranks);
     cfg.telemetry_sampling = 1_000_000; // telemetry off: measure the engine
-    let mut sim = MacroSim::new(cfg);
+    let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
     sim.set_trace(trace.cloned());
     let mut workload = StaticPipelineWorkload::new(mesh, steps);
     let t = Instant::now();
-    let report = sim.run(&mut workload, &policy, RebalanceTrigger::OnMeshChange);
+    let report = sim
+        .try_run(&mut workload, &policy, RebalanceTrigger::OnMeshChange)
+        .expect("macrosim run");
     let sim_ns = t.elapsed().as_nanos() as u64;
     assert_eq!(report.steps, steps);
 
@@ -223,9 +225,11 @@ pub fn run_faulty(ranks: usize, steps: u64, seed: u64) -> FaultyTimings {
         cfg.fault_response = response;
         cfg.spare_nodes = spares;
         let mut w = StaticPipelineWorkload::new(mesh.clone(), steps);
-        let mut sim = MacroSim::new(cfg);
+        let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
         let t = Instant::now();
-        let rep = sim.run(&mut w, &policy, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &policy, RebalanceTrigger::OnMeshChange)
+            .expect("macrosim run");
         FaultyArm {
             total_ns: rep.total_ns,
             sync_ns: rep.phases.sync_ns,
@@ -306,9 +310,11 @@ pub fn run_sharded_threaded(
     cfg.num_shards = num_shards;
     cfg.threads = threads;
     let mut w = StaticPipelineWorkload::new(mesh.clone(), steps);
-    let mut sim = MacroSim::new(cfg);
+    let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
     let t = Instant::now();
-    let rep = sim.run(&mut w, &Lpt, RebalanceTrigger::OnMeshChange);
+    let rep = sim
+        .try_run(&mut w, &Lpt, RebalanceTrigger::OnMeshChange)
+        .expect("macrosim run");
     ShardedRun {
         num_shards,
         compute_ns: rep.phases.compute_ns,

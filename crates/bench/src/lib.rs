@@ -32,28 +32,38 @@
 //! Criterion benches (`benches/`) cover placement-policy throughput, mesh
 //! operations, telemetry ingest/query/codec/pushdown and simulator rounds.
 //!
-//! This library hosts the shared plumbing: a tiny `--key value` argument
-//! parser (no CLI dependency), the CPLX policy roster, and fixed-width
+//! This library hosts the shared plumbing: a tiny strict `--key value`
+//! argument parser (no CLI dependency), the CPLX policy roster, and fixed-width
 //! table rendering for terminal reports.
 
 use amr_core::policies::{Baseline, Cplx, PlacementPolicy};
-use std::collections::HashMap;
 
 pub mod e2e;
 pub mod service_load;
 
-/// Parse `--key value` (and bare `--flag`) command-line arguments.
+/// Strict `--key value` (and bare `--flag`) command-line arguments.
+///
+/// A binary reads every option it knows, then calls [`Args::finish`]. That
+/// prints a message naming the offending flag and exits with status 2 on:
+/// a flag the binary never read, a repeated flag, a stray positional
+/// argument, or a malformed value. A typo'd flag therefore fails loudly
+/// instead of running the default sweep.
 ///
 /// ```
-/// let args = amr_bench::Args::from_iter(["--ranks", "512", "--fast"].iter().map(|s| s.to_string()));
+/// let mut args = amr_bench::Args::from_iter(["--ranks", "512", "--fast"].iter().map(|s| s.to_string()));
 /// assert_eq!(args.get_usize("ranks", 64), 512);
 /// assert!(args.flag("fast"));
 /// assert_eq!(args.get_u64("steps", 100), 100);
+/// assert!(args.check().is_ok());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
+    /// `(key, value)` in command-line order; `None` for a bare `--flag`.
+    given: Vec<(String, Option<String>)>,
+    /// Keys the binary asked for.
+    read: Vec<String>,
+    /// Parse and value errors, reported by [`Args::check`].
+    errors: Vec<String>,
 }
 
 impl Args {
@@ -62,81 +72,125 @@ impl Args {
         Args::from_iter(std::env::args().skip(1))
     }
 
-    /// Parse from an explicit iterator (for tests).
+    /// Parse from an explicit iterator (for tests). A token after `--key`
+    /// that does not itself start with `--` is that key's value.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Args {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
+        let mut args = Args::default();
         let mut iter = iter.into_iter().peekable();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        values.insert(key.to_string(), iter.next().unwrap());
-                    }
-                    _ => flags.push(key.to_string()),
-                }
+            let Some(key) = arg.strip_prefix("--") else {
+                args.errors.push(format!("unexpected argument `{arg}`"));
+                continue;
+            };
+            let value = iter.next_if(|next| !next.starts_with("--"));
+            if args.given.iter().any(|(k, _)| k == key) {
+                args.errors.push(format!("--{key} given more than once"));
+                continue;
+            }
+            args.given.push((key.to_string(), value));
+        }
+        args
+    }
+
+    /// Mark `key` read and return what the command line gave for it:
+    /// `None` if absent, `Some(None)` for a bare flag.
+    fn take(&mut self, key: &str) -> Option<Option<String>> {
+        self.read.push(key.to_string());
+        let (_, value) = self.given.iter().find(|(k, _)| k == key)?;
+        Some(value.clone())
+    }
+
+    /// Parsed value of `--key`, or `default` if absent. A missing or
+    /// unparsable value is recorded as an error (and `default` returned).
+    fn value<T: std::str::FromStr>(&mut self, key: &str, default: T, what: &str) -> T {
+        match self.take(key) {
+            None => default,
+            Some(Some(v)) => v.trim().parse().unwrap_or_else(|_| {
+                self.errors
+                    .push(format!("--{key} expects {what}, got `{v}`"));
+                default
+            }),
+            Some(None) => {
+                self.errors.push(format!("--{key} expects {what}"));
+                default
             }
         }
-        Args { values, flags }
     }
 
     /// String value or default.
-    pub fn get<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.values.get(key).map(String::as_str).unwrap_or(default)
+    pub fn get(&mut self, key: &str, default: &str) -> String {
+        self.value(key, default.to_string(), "a value")
     }
 
     /// `usize` value or default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer"))
-            })
-            .unwrap_or(default)
+    pub fn get_usize(&mut self, key: &str, default: usize) -> usize {
+        self.value(key, default, "an integer")
     }
 
     /// `u64` value or default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer"))
-            })
-            .unwrap_or(default)
+    pub fn get_u64(&mut self, key: &str, default: u64) -> u64 {
+        self.value(key, default, "an integer")
     }
 
     /// `f64` value or default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number"))
-            })
-            .unwrap_or(default)
+    pub fn get_f64(&mut self, key: &str, default: f64) -> f64 {
+        self.value(key, default, "a number")
     }
 
     /// Comma-separated list of `usize`s or default.
-    pub fn get_usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.values.get(key) {
-            None => default.to_vec(),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{key}: bad list"))
-                })
-                .collect(),
+    pub fn get_usize_list(&mut self, key: &str, default: &[usize]) -> Vec<usize> {
+        let list = self.get(key, "");
+        if list.is_empty() {
+            return default.to_vec();
         }
+        let parsed: Result<Vec<usize>, _> = list.split(',').map(|s| s.trim().parse()).collect();
+        parsed.unwrap_or_else(|_| {
+            self.errors.push(format!(
+                "--{key} expects a comma-separated list of integers, got `{list}`"
+            ));
+            default.to_vec()
+        })
     }
 
     /// Was a bare `--flag` present?
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+    pub fn flag(&mut self, key: &str) -> bool {
+        match self.take(key) {
+            None => false,
+            Some(None) => true,
+            Some(Some(v)) => {
+                self.errors
+                    .push(format!("--{key} takes no value, got `{v}`"));
+                false
+            }
+        }
+    }
+
+    /// Every error so far, plus every flag no getter asked for, one per
+    /// line; `Ok` when the command line was fully understood.
+    pub fn check(&self) -> Result<(), String> {
+        let unknown = self
+            .given
+            .iter()
+            .filter(|(k, _)| !self.read.contains(k))
+            .map(|(k, _)| format!("unknown flag --{k}"));
+        let errors: Vec<String> = self.errors.iter().cloned().chain(unknown).collect();
+        if errors.is_empty() {
+            Ok(())
+        } else {
+            Err(errors.join("\n"))
+        }
+    }
+
+    /// Call after the last getter: on any [`Args::check`] error, print it
+    /// and exit with status 2.
+    pub fn finish(&self) {
+        if let Err(e) = self.check() {
+            for line in e.lines() {
+                eprintln!("error: {line}");
+            }
+            std::process::exit(2);
+        }
     }
 }
 
@@ -208,22 +262,81 @@ pub fn fmt_pct_delta(new: f64, baseline: f64) -> String {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Args {
+        Args::from_iter(list.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn args_parse_values_and_flags() {
-        let a = Args::from_iter(
-            [
-                "--ranks", "512", "--quick", "--scale", "2.5", "--list", "1,2,3",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let mut a = args(&[
+            "--ranks", "512", "--quick", "--scale", "2.5", "--list", "1,2,3", "--out", "x",
+        ]);
         assert_eq!(a.get_usize("ranks", 0), 512);
         assert!(a.flag("quick"));
         assert!(!a.flag("slow"));
         assert!((a.get_f64("scale", 0.0) - 2.5).abs() < 1e-12);
         assert_eq!(a.get_usize_list("list", &[]), vec![1, 2, 3]);
+        assert_eq!(a.get_usize_list("missing-list", &[7]), vec![7]);
         assert_eq!(a.get("missing", "d"), "d");
+        assert_eq!(a.get("out", "d"), "x");
         assert_eq!(a.get_u64("ranks", 0), 512);
+        assert_eq!(a.check(), Ok(()));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let mut a = args(&["--ranks", "8", "--rnaks", "9", "--smoke"]);
+        assert_eq!(a.get_usize("ranks", 0), 8);
+        let err = a.check().unwrap_err();
+        assert!(err.contains("unknown flag --rnaks"), "{err}");
+        assert!(err.contains("unknown flag --smoke"), "{err}");
+        assert!(!err.contains("--ranks"), "{err}");
+    }
+
+    #[test]
+    fn repeated_flag_is_an_error() {
+        let mut a = args(&["--ranks", "8", "--ranks", "9"]);
+        assert_eq!(a.get_usize("ranks", 0), 8);
+        let err = a.check().unwrap_err();
+        assert!(err.contains("--ranks given more than once"), "{err}");
+        let mut a = args(&["--smoke", "--smoke"]);
+        assert!(a.flag("smoke"));
+        assert!(a
+            .check()
+            .unwrap_err()
+            .contains("--smoke given more than once"));
+    }
+
+    #[test]
+    fn stray_positional_is_an_error() {
+        let mut a = args(&["512", "--ranks", "8", "extra"]);
+        assert_eq!(a.get_usize("ranks", 0), 8);
+        let err = a.check().unwrap_err();
+        assert!(err.contains("unexpected argument `512`"), "{err}");
+        assert!(err.contains("unexpected argument `extra`"), "{err}");
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        let mut a = args(&[
+            "--ranks", "many", "--scale", "x", "--list", "1,b", "--smoke", "3", "--seed",
+        ]);
+        assert_eq!(a.get_usize("ranks", 4), 4);
+        assert_eq!(a.get_f64("scale", 1.5), 1.5);
+        assert_eq!(a.get_usize_list("list", &[2]), vec![2]);
+        assert!(!a.flag("smoke"));
+        assert_eq!(a.get_u64("seed", 1), 1);
+        let err = a.check().unwrap_err();
+        for needle in [
+            "--ranks expects an integer, got `many`",
+            "--scale expects a number, got `x`",
+            "--list expects a comma-separated list of integers, got `1,b`",
+            "--smoke takes no value, got `3`",
+            "--seed expects an integer",
+        ] {
+            assert!(err.contains(needle), "missing `{needle}` in:\n{err}");
+        }
+        assert_eq!(err.lines().count(), 5, "{err}");
     }
 
     #[test]

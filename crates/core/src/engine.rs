@@ -175,8 +175,9 @@ pub struct PlacementReport {
 ///
 /// Interior mutability (`RefCell`) lets a shared `&Scratch` serve nested
 /// policies (CPLX → chunked CDP → CDP) — each buffer is borrowed only while
-/// the owning stage runs. `Scratch` is intentionally `!Sync`: parallel
-/// fan-out paths (rayon chunking, zonal) run their sub-solves cold.
+/// the owning stage runs; chunked CDP solves its chunks one after another
+/// through the same CDP buffers. `Scratch` is `!Sync`; [`crate::policies::Zonal`]'s
+/// per-zone inner solves run cold on their own sub-slices.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// CDP prefix sums (`W`).

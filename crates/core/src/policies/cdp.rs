@@ -17,7 +17,7 @@
 //!   determined — this is what makes the restricted DP fast.
 
 use super::{validate_inputs, PlacementPolicy};
-use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
+use crate::engine::{PlacementCtx, PlacementError, PlacementReport, Scratch};
 use crate::placement::Placement;
 
 /// The paper's restricted contiguous DP: chunk sizes ⌊n/r⌋/⌈n/r⌉.
@@ -38,70 +38,65 @@ fn prefix_sums(costs: &[f64]) -> Vec<f64> {
 
 /// Expand per-rank segment lengths into a block→rank assignment.
 fn lengths_to_placement(lengths: &[usize], num_ranks: usize) -> Placement {
-    let mut out = Placement::new(Vec::new(), num_ranks);
-    lengths_into(&mut out, lengths, num_ranks);
-    out
+    let ranks = lengths
+        .iter()
+        .enumerate()
+        .flat_map(|(rank, &len)| std::iter::repeat_n(rank as u32, len))
+        .collect();
+    Placement::new(ranks, num_ranks)
 }
 
-/// Expand per-rank segment lengths into `out`, reusing its storage.
-pub(crate) fn lengths_into(out: &mut Placement, lengths: &[usize], num_ranks: usize) {
-    let ranks = out.reset(num_ranks);
+/// The restricted-CDP assignment shared by [`Cdp`] and
+/// [`super::ChunkedCdp`]'s small-rank path: solve into `out` through the
+/// context's scratch.
+pub(crate) fn cdp_assign(ctx: &PlacementCtx, out: &mut Placement) {
+    let r = ctx.num_ranks();
+    let ranks = out.reset(r);
     ranks.clear();
-    ranks.reserve(lengths.iter().sum());
-    for (rank, &len) in lengths.iter().enumerate() {
-        ranks.extend(std::iter::repeat_n(rank as u32, len));
+    with_scratch(ctx, |s| solve_append(s, ctx.costs(), r, 0, ranks));
+}
+
+/// Run `f` on the context's scratch, or on a fresh one when no engine is
+/// attached (a cold solve that allocates its buffers).
+pub(crate) fn with_scratch<R>(ctx: &PlacementCtx, f: impl FnOnce(&Scratch) -> R) -> R {
+    match ctx.scratch() {
+        Some(s) => f(s),
+        None => f(&Scratch::new()),
     }
 }
 
-/// The sequential restricted-CDP assignment shared by [`Cdp`] and
-/// [`super::ChunkedCdp`]'s small-rank path: solve into `out`, through the
-/// context's scratch when attached.
-pub(crate) fn cdp_assign(ctx: &PlacementCtx, out: &mut Placement) {
-    let r = ctx.num_ranks();
-    match ctx.scratch() {
-        Some(s) => {
-            let mut lengths = s.cdp_lengths.borrow_mut();
-            Cdp::solve_lengths_into(
-                ctx.costs(),
-                r,
-                &mut s.cdp_prefix.borrow_mut(),
-                &mut s.cdp_dp.borrow_mut(),
-                &mut s.cdp_next.borrow_mut(),
-                &mut s.cdp_parent.borrow_mut(),
-                &mut lengths,
-            );
-            lengths_into(out, &lengths, r);
-        }
-        None => {
-            let lengths = Cdp::solve_lengths(ctx.costs(), r);
-            lengths_into(out, &lengths, r);
-        }
+/// Solve the restricted DP for `costs` on `num_ranks` ranks in `s`'s CDP
+/// buffers and append the block→rank run, ranks numbered from
+/// `first_rank`, to `ranks`. Allocation-free once the buffers (and `ranks`)
+/// have grown to the working size.
+pub(crate) fn solve_append(
+    s: &Scratch,
+    costs: &[f64],
+    num_ranks: usize,
+    first_rank: usize,
+    ranks: &mut Vec<u32>,
+) {
+    let mut lengths = s.cdp_lengths.borrow_mut();
+    Cdp::solve_lengths_into(
+        costs,
+        num_ranks,
+        &mut s.cdp_prefix.borrow_mut(),
+        &mut s.cdp_dp.borrow_mut(),
+        &mut s.cdp_next.borrow_mut(),
+        &mut s.cdp_parent.borrow_mut(),
+        &mut lengths,
+    );
+    for (rank, &len) in lengths.iter().enumerate() {
+        ranks.extend(std::iter::repeat_n((first_rank + rank) as u32, len));
     }
 }
 
 impl Cdp {
-    /// The restricted DP over chunk sizes `{L, L+1}`; returns per-rank
-    /// segment lengths. Split out so [`super::ChunkedCdp`] can reuse it on
-    /// sub-ranges (its rayon path needs per-chunk owned output).
-    pub(crate) fn solve_lengths(costs: &[f64], num_ranks: usize) -> Vec<usize> {
-        let mut lengths = Vec::new();
-        Cdp::solve_lengths_into(
-            costs,
-            num_ranks,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut lengths,
-        );
-        lengths
-    }
-
-    /// [`Cdp::solve_lengths`] with caller-provided working memory: `w` holds
-    /// prefix sums, `dp`/`next` the rolling DP rows, `parent` the bit-packed
-    /// backtrack choices, and `lengths` receives the result. All buffers are
-    /// cleared and refilled; repeated solves at steady-state sizes allocate
-    /// nothing.
+    /// The restricted DP over chunk sizes `{L, L+1}`: per-rank segment
+    /// lengths go into `lengths`. The caller provides the working memory:
+    /// `w` holds prefix sums, `dp`/`next` the rolling DP rows, `parent` the
+    /// bit-packed backtrack choices. All buffers are cleared and refilled;
+    /// repeated solves at steady-state sizes allocate nothing.
     pub(crate) fn solve_lengths_into(
         costs: &[f64],
         num_ranks: usize,

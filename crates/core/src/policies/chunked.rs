@@ -1,4 +1,4 @@
-//! Hierarchically chunked, parallel CDP (§V-C, "Scaling CDP With Chunking").
+//! Hierarchically chunked CDP (§V-C, "Scaling CDP With Chunking").
 //!
 //! Plain CDP's placement overhead "became noticeable at 4096 ranks". The
 //! paper's fix: divide blocks into `c` contiguous chunks of approximately
@@ -8,16 +8,18 @@
 //! solution, but the output only seeds CPLX, so the approximation "has
 //! minimal impact".
 //!
-//! Parallelism uses rayon's `par_iter` over chunks, mirroring the paper's
-//! parallel implementation.
+//! The paper processes the chunks in parallel; here they are solved one
+//! after another through the engine's CDP scratch, so the cost of a
+//! chunked solve is the sum of its chunks' restricted DPs (each over only
+//! its own ranks) and a warm solve allocates nothing.
 
-use super::cdp::{cdp_assign, Cdp};
+use super::cdp::{cdp_assign, solve_append, with_scratch};
 use super::PlacementPolicy;
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
-use rayon::prelude::*;
+use std::ops::Range;
 
-/// Chunked parallel CDP.
+/// Chunked CDP.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkedCdp {
     /// Target number of ranks handled by one chunk (the paper used 512).
@@ -41,12 +43,12 @@ impl ChunkedCdp {
 
     /// Partition ranks as evenly as possible into `c` chunks, and blocks into
     /// contiguous runs whose cost share is proportional to each chunk's rank
-    /// share. Returns `(block_range, rank_range)` per chunk.
-    fn split(
+    /// share. Yields `(block_range, rank_range)` per chunk, in order.
+    fn chunks<'a>(
         &self,
-        costs: &[f64],
+        costs: &'a [f64],
         num_ranks: usize,
-    ) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+    ) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + 'a {
         let c = num_ranks.div_ceil(self.ranks_per_chunk);
         let total: f64 = costs.iter().sum();
         let n = costs.len();
@@ -55,12 +57,11 @@ impl ChunkedCdp {
         let base_ranks = num_ranks / c;
         let extra_ranks = num_ranks % c;
 
-        let mut out = Vec::with_capacity(c);
         let mut rank_start = 0usize;
         let mut block_start = 0usize;
         let mut cost_acc = 0.0f64;
         let mut cost_target = 0.0f64;
-        for chunk in 0..c {
+        (0..c).map(move |chunk| {
             let nranks = base_ranks + usize::from(chunk < extra_ranks);
             let rank_range = rank_start..rank_start + nranks;
             rank_start += nranks;
@@ -83,18 +84,18 @@ impl ChunkedCdp {
                 }
                 end.min(n)
             };
-            out.push((block_start..block_end, rank_range));
+            let blocks = block_start..block_end;
             block_start = block_end;
-        }
-        out
+            (blocks, rank_range)
+        })
     }
 }
 
 /// The chunked-CDP assignment shared by [`ChunkedCdp`], [`super::Cplx`] and
 /// [`super::Blend`] (which all seed from it): solve into `out` without
-/// computing a report. The small-rank path reuses the context's scratch; the
-/// parallel fan-out allocates per-chunk results (rayon workers cannot share
-/// the single-threaded scratch).
+/// computing a report. Each chunk's restricted DP runs in the context's
+/// scratch and appends its rank run straight into `out`, so a warm solve
+/// allocates nothing.
 pub(crate) fn chunked_assign(cfg: &ChunkedCdp, ctx: &PlacementCtx, out: &mut Placement) {
     let costs = ctx.costs();
     let num_ranks = ctx.num_ranks();
@@ -102,27 +103,14 @@ pub(crate) fn chunked_assign(cfg: &ChunkedCdp, ctx: &PlacementCtx, out: &mut Pla
         cdp_assign(ctx, out);
         return;
     }
-    let splits = cfg.split(costs, num_ranks);
-    // Solve each chunk independently, in parallel.
-    let per_chunk: Vec<Vec<usize>> = splits
-        .par_iter()
-        .map(|(blocks, ranks)| Cdp::solve_lengths(&costs[blocks.clone()], ranks.len()))
-        .collect();
-    // Stitch: chunk k's rank-local lengths map onto its global rank range.
     let ranks_out = out.reset(num_ranks);
     ranks_out.clear();
-    ranks_out.resize(costs.len(), 0);
-    for ((blocks, rank_range), lengths) in splits.iter().zip(&per_chunk) {
-        let mut b = blocks.start;
-        for (local_rank, &len) in lengths.iter().enumerate() {
-            let rank = (rank_range.start + local_rank) as u32;
-            for _ in 0..len {
-                ranks_out[b] = rank;
-                b += 1;
-            }
+    with_scratch(ctx, |s| {
+        for (blocks, ranks) in cfg.chunks(costs, num_ranks) {
+            solve_append(s, &costs[blocks], ranks.len(), ranks.start, ranks_out);
         }
-        debug_assert_eq!(b, blocks.end);
-    }
+    });
+    debug_assert_eq!(ranks_out.len(), costs.len());
 }
 
 impl PlacementPolicy for ChunkedCdp {
@@ -144,6 +132,7 @@ impl PlacementPolicy for ChunkedCdp {
 #[cfg(test)]
 mod tests {
     use super::super::test_util::random_costs;
+    use super::super::Cdp;
     use super::*;
 
     #[test]
@@ -191,8 +180,37 @@ mod tests {
         assert!(p.is_contiguous());
     }
 
+    /// The scratch path must equal the chunking it implements: plain CDP on
+    /// each chunk's cost sub-slice, ranks offset by the chunk's first rank.
     #[test]
-    fn deterministic_despite_parallelism() {
+    fn scratch_path_matches_stitched_plain_cdp() {
+        use crate::engine::PlacementEngine;
+        for (n, r) in [(2600usize, 1024usize), (9000, 4096)] {
+            let costs = random_costs(n, r as u64);
+            let cfg = ChunkedCdp::default();
+            let mut oracle = vec![0u32; n];
+            for (blocks, ranks) in cfg.chunks(&costs, r) {
+                let p = Cdp.place(&costs[blocks.clone()], ranks.len());
+                for (local, global) in blocks.enumerate() {
+                    oracle[global] = ranks.start as u32 + p.rank_of(local);
+                }
+            }
+            let mut engine = PlacementEngine::new();
+            for _ in 0..2 {
+                // Cold, then warm through the engine's scratch.
+                let placed = engine
+                    .rebalance(&cfg, &costs, r)
+                    .expect("chunked rebalance");
+                assert_eq!(placed.num_blocks, n);
+                let got = engine.placement().expect("engine holds a placement");
+                assert_eq!(got.as_slice(), oracle.as_slice(), "{n} blocks on {r} ranks");
+            }
+            assert_eq!(cfg.place(&costs, r).as_slice(), oracle.as_slice());
+        }
+    }
+
+    #[test]
+    fn deterministic() {
         let costs = random_costs(2048, 21);
         let a = ChunkedCdp::new(128).place(&costs, 1024);
         let b = ChunkedCdp::new(128).place(&costs, 1024);

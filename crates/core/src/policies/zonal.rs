@@ -6,8 +6,10 @@
 //! placement independently and in parallel" (after Zheng et al.'s periodic
 //! hierarchical load balancing). [`Zonal`] wraps *any* inner policy: blocks
 //! (in SFC order) and ranks are split into `zones` contiguous groups with
-//! cost-proportional block shares, and the inner policy runs per zone on a
-//! rayon worker.
+//! cost-proportional block shares, and the inner policy runs per zone. The
+//! zones are solved one after another: the partition is what the paper's
+//! parallel zones would compute, and each zone solve only sees its own
+//! blocks and ranks.
 //!
 //! Unlike [`super::ChunkedCdp`] — which chunks only the CDP stage — zonal
 //! wrapping also confines LPT/CPLX rebalancing inside each zone, trading a
@@ -17,7 +19,6 @@
 use super::PlacementPolicy;
 use crate::engine::{PlacementCtx, PlacementError, PlacementReport};
 use crate::placement::Placement;
-use rayon::prelude::*;
 
 /// Run an inner policy independently per zone.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +37,7 @@ impl<P> Zonal<P> {
     }
 }
 
-impl<P: PlacementPolicy + Sync> PlacementPolicy for Zonal<P> {
+impl<P: PlacementPolicy> PlacementPolicy for Zonal<P> {
     fn name(&self) -> String {
         format!("zonal{}-{}", self.zones, self.inner.name())
     }
@@ -89,18 +90,14 @@ impl<P: PlacementPolicy + Sync> PlacementPolicy for Zonal<P> {
             block_start = block_end;
         }
 
-        // Per-zone solves run on rayon workers and cannot share the
-        // single-threaded scratch; they allocate their own placements.
-        let zone_placements: Vec<Placement> = splits
-            .par_iter()
-            .map(|(blocks, ranks)| self.inner.place(&costs[blocks.clone()], ranks.len()))
-            .collect();
-
+        // Each zone solve is a cold `place` on its own sub-slice (the inner
+        // policy's context covers only that zone's blocks and ranks).
         let assignment = out.reset(num_ranks);
         assignment.clear();
         assignment.resize(n, 0);
-        for ((blocks, ranks), zp) in splits.iter().zip(&zone_placements) {
-            for (local, global) in blocks.clone().enumerate() {
+        for (blocks, ranks) in splits {
+            let zp = self.inner.place(&costs[blocks.clone()], ranks.len());
+            for (local, global) in blocks.enumerate() {
                 assignment[global] = ranks.start as u32 + zp.rank_of(local);
             }
         }

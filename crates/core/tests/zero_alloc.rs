@@ -53,13 +53,10 @@ fn alloc_count() -> u64 {
 
 #[test]
 fn steady_state_rebalance_is_allocation_free() {
-    // 160 blocks on 64 ranks: n % r = 32 > 0, so the restricted CDP runs its
-    // real DP (no divisible-case short circuit) and ChunkedCdp at 512
-    // ranks/chunk takes the sequential scratch path.
-    let num_ranks = 64;
-    let costs: Vec<f64> = (0..160).map(|i| 1.0 + (i % 13) as f64 * 0.37).collect();
-    let mut shifted = costs.clone();
-
+    // n % r > 0 in both inputs, so the restricted CDP runs its real DP (no
+    // divisible-case short circuit). 160 blocks on 64 ranks: ChunkedCdp at
+    // 512 ranks/chunk delegates to plain CDP. 2600 blocks on 1024 ranks: it
+    // splits into two chunks (the path CPLX takes above 512 ranks).
     let policies: Vec<Box<dyn PlacementPolicy>> = vec![
         Box::new(Baseline),
         Box::new(Lpt),
@@ -69,40 +66,45 @@ fn steady_state_rebalance_is_allocation_free() {
         Box::new(Cplx::new(100)),
     ];
 
-    for policy in &policies {
-        let mut engine = PlacementEngine::new();
-        // Warm-up: size every scratch buffer, both placement buffers, and
-        // the migration-accounting flows (which need a prev placement).
-        for round in 0..3 {
-            shifted.rotate_right(1);
-            engine
-                .rebalance(policy.as_ref(), &shifted, num_ranks)
-                .unwrap_or_else(|e| panic!("{}: warm-up failed: {e}", policy.name()));
-            let _ = round;
-        }
+    for (num_blocks, num_ranks) in [(160usize, 64usize), (2600, 1024)] {
+        let mut shifted: Vec<f64> = (0..num_blocks)
+            .map(|i| 1.0 + (i % 13) as f64 * 0.37)
+            .collect();
+        for policy in &policies {
+            let mut engine = PlacementEngine::new();
+            // Warm-up: size every scratch buffer, both placement buffers, and
+            // the migration-accounting flows (which need a prev placement).
+            for round in 0..3 {
+                shifted.rotate_right(1);
+                engine
+                    .rebalance(policy.as_ref(), &shifted, num_ranks)
+                    .unwrap_or_else(|e| panic!("{}: warm-up failed: {e}", policy.name()));
+                let _ = round;
+            }
 
-        // Measured steady state: rotate costs each round so placements keep
-        // changing (exercising migration accounting), same sizes throughout.
-        // Take the minimum delta over several rounds so unrelated background
-        // allocation (test-harness bookkeeping) cannot produce a false
-        // positive; the engine itself must hit zero.
-        let mut min_delta = u64::MAX;
-        for _ in 0..5 {
-            shifted.rotate_right(1);
-            let before = alloc_count();
-            let report = engine
-                .rebalance(policy.as_ref(), &shifted, num_ranks)
-                .unwrap_or_else(|e| panic!("{}: rebalance failed: {e}", policy.name()));
-            let delta = alloc_count() - before;
-            min_delta = min_delta.min(delta);
-            assert_eq!(report.num_blocks, shifted.len());
+            // Measured steady state: rotate costs each round so placements keep
+            // changing (exercising migration accounting), same sizes throughout.
+            // Take the minimum delta over several rounds so unrelated background
+            // allocation (test-harness bookkeeping) cannot produce a false
+            // positive; the engine itself must hit zero.
+            let mut min_delta = u64::MAX;
+            for _ in 0..5 {
+                shifted.rotate_right(1);
+                let before = alloc_count();
+                let report = engine
+                    .rebalance(policy.as_ref(), &shifted, num_ranks)
+                    .unwrap_or_else(|e| panic!("{}: rebalance failed: {e}", policy.name()));
+                let delta = alloc_count() - before;
+                min_delta = min_delta.min(delta);
+                assert_eq!(report.num_blocks, shifted.len());
+            }
+            assert_eq!(
+                min_delta,
+                0,
+                "{} at {num_ranks} ranks: steady-state rebalance allocated {min_delta} times",
+                policy.name()
+            );
         }
-        assert_eq!(
-            min_delta,
-            0,
-            "{}: steady-state rebalance allocated {min_delta} times",
-            policy.name()
-        );
     }
 
     // ---- Warm multilevel repartition ----------------------------------------

@@ -138,35 +138,13 @@ pub enum CollectiveSelect {
     /// Re-pick each step from live telemetry: stay on the binomial default
     /// until the sync-fraction gauge shows real pressure, then switch to the
     /// cheapest post-arrival term for the current shape (see
-    /// `MacroSim::run`).
+    /// `MacroSim::try_run`).
     Adaptive,
 }
 
 impl Default for CollectiveSelect {
     fn default() -> CollectiveSelect {
         CollectiveSelect::Fixed(CollectiveAlgo::BinomialTree)
-    }
-}
-
-/// Result of a collective operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectiveResult {
-    /// Virtual time when the collective completes (same for all ranks).
-    pub completion_ns: u64,
-    /// Per-rank wait time: completion − own arrival − own tree work, i.e.
-    /// `max(arrival) − own arrival`. Zero for the last arriver.
-    pub wait_ns: Vec<u64>,
-}
-
-impl CollectiveResult {
-    /// Total wait summed over ranks.
-    pub fn total_wait_ns(&self) -> u64 {
-        self.wait_ns.iter().sum()
-    }
-
-    /// Maximum single-rank wait (the earliest arriver's penalty).
-    pub fn max_wait_ns(&self) -> u64 {
-        self.wait_ns.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -183,19 +161,9 @@ pub fn tree_depth(num_ranks: usize) -> u32 {
 /// Execute a barrier given each rank's arrival time at the sync point.
 ///
 /// `hop_ns` is the per-tree-level message cost (fabric latency for small
-/// control messages).
-pub fn barrier(arrivals_ns: &[u64], hop_ns: u64) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = barrier_into(arrivals_ns, hop_ns, &mut wait);
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free barrier: writes per-rank waits into `wait_out` (cleared
-/// first, capacity reused) and returns the completion time. The per-step
-/// collective of [`crate::macrosim`] calls this with a pooled buffer.
+/// control messages). Per-rank waits go into `wait_out` (cleared first,
+/// capacity reused) and the completion time is returned; the micro-simulator
+/// calls this once per round with a pooled buffer.
 ///
 /// An empty participant set (a fault response pruned every rank) is a no-op:
 /// completion 0, no waits. A single rank has tree depth 0 and waits 0.
@@ -245,70 +213,12 @@ fn payload_ns(payload_bytes: u64, bytes_per_ns: f64) -> u64 {
     }
 }
 
-/// Execute a blocking allreduce: a barrier plus a reduction payload moved at
-/// every level (small vectors in AMR codes — timestep control values).
-///
-/// Thin shim over [`allreduce_into`] — the wait-accounting and `payload_ns`
-/// saturation fixes live on the `_into` path only, and a regression test
-/// pins the equality.
-pub fn allreduce(
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = allreduce_into(arrivals_ns, hop_ns, payload_bytes, bytes_per_ns, &mut wait);
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free counterpart of [`allreduce`]; see [`barrier_into`].
-pub fn allreduce_into(
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-    wait_out: &mut Vec<u64>,
-) -> u64 {
-    allreduce_with_into(
-        CollectiveAlgo::BinomialTree,
-        arrivals_ns,
-        hop_ns,
-        payload_bytes,
-        bytes_per_ns,
-        wait_out,
-    )
-}
-
-/// Algorithm-selectable allreduce (see [`CollectiveAlgo`]); all variants use
-/// the same straggler-only wait model and differ only in the post-arrival
-/// term.
-pub fn allreduce_with(
-    algo: CollectiveAlgo,
-    arrivals_ns: &[u64],
-    hop_ns: u64,
-    payload_bytes: u64,
-    bytes_per_ns: f64,
-) -> CollectiveResult {
-    let mut wait = Vec::new();
-    let completion = allreduce_with_into(
-        algo,
-        arrivals_ns,
-        hop_ns,
-        payload_bytes,
-        bytes_per_ns,
-        &mut wait,
-    );
-    CollectiveResult {
-        completion_ns: completion,
-        wait_ns: wait,
-    }
-}
-
-/// Allocation-free counterpart of [`allreduce_with`]; see [`barrier_into`].
+/// Execute a blocking allreduce under `algo` (see [`CollectiveAlgo`]): a
+/// barrier plus a reduction payload (small vectors in AMR codes — timestep
+/// control values). All algorithms share the straggler-only wait model and
+/// differ only in the post-arrival term. Waits go into `wait_out` as in
+/// [`barrier_into`]; the per-step collective of [`crate::macrosim`] calls
+/// this with a pooled buffer.
 pub fn allreduce_with_into(
     algo: CollectiveAlgo,
     arrivals_ns: &[u64],
@@ -325,6 +235,20 @@ pub fn allreduce_with_into(
 mod tests {
     use super::*;
 
+    /// `(completion, waits)` of a barrier, for assertions.
+    fn barrier(arrivals: &[u64], hop: u64) -> (u64, Vec<u64>) {
+        let mut wait = vec![99; 3]; // stale content must be cleared
+        let c = barrier_into(arrivals, hop, &mut wait);
+        (c, wait)
+    }
+
+    /// `(completion, waits)` of an allreduce, for assertions.
+    fn allreduce(algo: CollectiveAlgo, arrivals: &[u64], bytes: u64, bw: f64) -> (u64, Vec<u64>) {
+        let mut wait = Vec::new();
+        let c = allreduce_with_into(algo, arrivals, 5, bytes, bw, &mut wait);
+        (c, wait)
+    }
+
     #[test]
     fn depth_is_log2_ceiling() {
         assert_eq!(tree_depth(1), 0);
@@ -338,13 +262,13 @@ mod tests {
 
     #[test]
     fn straggler_sets_completion() {
-        let r = barrier(&[10, 20, 1000, 30], 5);
-        assert_eq!(r.completion_ns, 1000 + 2 * 5);
+        let (c, wait) = barrier(&[10, 20, 1000, 30], 5);
+        assert_eq!(c, 1000 + 2 * 5);
         // The straggler's tree hops are work, not wait: it waits zero.
-        assert_eq!(r.wait_ns[2], 0);
+        assert_eq!(wait[2], 0);
         // Early arrivers wait until the straggler shows up.
-        assert_eq!(r.wait_ns[0], 990);
-        assert_eq!(r.max_wait_ns(), 990);
+        assert_eq!(wait[0], 990);
+        assert_eq!(wait.iter().max(), Some(&990));
     }
 
     #[test]
@@ -357,12 +281,12 @@ mod tests {
             vec![0, u64::MAX / 2],
             (0..100).collect::<Vec<u64>>(),
         ] {
-            let res = barrier(&arrivals, 12_345);
+            let (_, wait) = barrier(&arrivals, 12_345);
             let last = *arrivals.iter().max().unwrap();
             let argmax = arrivals.iter().position(|&a| a == last).unwrap();
-            assert_eq!(res.wait_ns[argmax], 0);
+            assert_eq!(wait[argmax], 0);
             assert_eq!(
-                res.total_wait_ns(),
+                wait.iter().sum::<u64>(),
                 arrivals.iter().map(|&a| last - a).sum::<u64>()
             );
         }
@@ -371,131 +295,78 @@ mod tests {
     #[test]
     fn uniform_arrivals_mean_zero_wait() {
         // Simultaneous arrivals: everyone does tree work, nobody waits.
-        let r = barrier(&[100; 64], 5);
+        let (c, wait) = barrier(&[100; 64], 5);
         let depth = tree_depth(64) as u64;
-        assert_eq!(r.completion_ns, 100 + depth * 5);
-        assert!(r.wait_ns.iter().all(|&w| w == 0));
+        assert_eq!(c, 100 + depth * 5);
+        assert!(wait.iter().all(|&w| w == 0));
     }
 
     #[test]
     fn empty_arrivals_complete_at_zero() {
-        let mut wait = vec![7u64; 3];
-        let c = barrier_into(&[], 5, &mut wait);
+        let (c, wait) = barrier(&[], 5);
         assert_eq!(c, 0);
         assert!(wait.is_empty());
-        let r = barrier(&[], 5);
-        assert_eq!(r.completion_ns, 0);
-        assert!(r.wait_ns.is_empty());
-        assert_eq!(r.total_wait_ns(), 0);
-        assert_eq!(r.max_wait_ns(), 0);
     }
 
     #[test]
     fn single_rank_has_no_tree_and_no_wait() {
-        let r = barrier(&[42], 5_000);
-        assert_eq!(r.completion_ns, 42); // depth 0: no hops
-        assert_eq!(r.wait_ns, vec![0]);
+        let (c, wait) = barrier(&[42], 5_000);
+        assert_eq!(c, 42); // depth 0: no hops
+        assert_eq!(wait, vec![0]);
     }
 
     #[test]
     fn wait_grows_with_scale_for_same_imbalance() {
         // Same arrival spread, more ranks -> deeper tree, and with random
         // stragglers the expected max grows; here just check tree term.
-        let small = barrier(&[0, 100], 10);
-        let large = barrier(
+        let (small, _) = barrier(&[0, 100], 10);
+        let (large, _) = barrier(
             &vec![0; 1023].into_iter().chain([100]).collect::<Vec<_>>(),
             10,
         );
-        assert!(large.completion_ns > small.completion_ns);
+        assert!(large > small);
     }
 
     #[test]
     fn allreduce_adds_payload_cost() {
-        let b = barrier(&[0, 0], 10);
-        let a = allreduce(&[0, 0], 10, 1000, 1.0);
-        assert!(a.completion_ns > b.completion_ns);
+        let (b, _) = barrier(&[0, 0], 5);
+        let (a, _) = allreduce(CollectiveAlgo::BinomialTree, &[0, 0], 1000, 1.0);
+        assert!(a > b);
     }
 
     #[test]
     fn degenerate_bandwidth_saturates_instead_of_overflowing() {
         // bytes_per_ns == 0 previously cast `inf` to u64::MAX and then
         // overflowed in `last + depth * hop`. Now the whole chain saturates.
-        let mut wait = Vec::new();
-        for bw in [0.0, -1.0, f64::NAN, f64::INFINITY * 0.0] {
-            let c = allreduce_into(&[10, 20], 5, 64, bw, &mut wait);
-            assert_eq!(c, u64::MAX);
-            assert_eq!(wait, vec![10, 0]);
+        for algo in CollectiveAlgo::ALL {
+            for bw in [0.0, -1.0, f64::NAN, f64::INFINITY * 0.0] {
+                assert_eq!(allreduce(algo, &[10, 20], 64, bw), (u64::MAX, vec![10, 0]));
+            }
+            // Tiny-but-positive bandwidth also saturates rather than wrapping.
+            assert_eq!(allreduce(algo, &[10, 20], u64::MAX, 1e-300).0, u64::MAX);
         }
-        // Tiny-but-positive bandwidth also saturates rather than wrapping.
-        let c = allreduce_into(&[10, 20], 5, u64::MAX, 1e-300, &mut wait);
-        assert_eq!(c, u64::MAX);
+        // Degenerate hop on the barrier saturates too.
+        assert_eq!(barrier(&[u64::MAX, 1], u64::MAX).0, u64::MAX);
     }
 
     #[test]
     fn total_wait_sums() {
-        let r = barrier(&[0, 50], 0);
-        assert_eq!(r.total_wait_ns(), 50);
+        let (_, wait) = barrier(&[0, 50], 0);
+        assert_eq!(wait.iter().sum::<u64>(), 50);
     }
 
+    /// A barrier is the binomial allreduce with an empty payload, and
+    /// `Fixed(BinomialTree)` — the default — charges `depth × (hop +
+    /// payload)` after the straggler; every committed baseline rests on this.
     #[test]
-    fn into_variants_match_allocating_ones() {
+    fn binomial_variant_is_the_legacy_formula() {
         let arrivals = [10u64, 20, 1000, 30];
-        let mut wait = vec![99; 1]; // stale content must be cleared
-        let c = barrier_into(&arrivals, 5, &mut wait);
-        let reference = barrier(&arrivals, 5);
-        assert_eq!(c, reference.completion_ns);
-        assert_eq!(wait, reference.wait_ns);
-        let c = allreduce_into(&arrivals, 5, 64, 2.0, &mut wait);
-        let reference = allreduce(&arrivals, 5, 64, 2.0);
-        assert_eq!(c, reference.completion_ns);
-        assert_eq!(wait, reference.wait_ns);
-        for algo in CollectiveAlgo::ALL {
-            let c = allreduce_with_into(algo, &arrivals, 5, 64, 2.0, &mut wait);
-            let reference = allreduce_with(algo, &arrivals, 5, 64, 2.0);
-            assert_eq!(c, reference.completion_ns);
-            assert_eq!(wait, reference.wait_ns);
-        }
-    }
-
-    /// The legacy wrappers are shims over the `_into` path: identical on the
-    /// saturation edge cases that used to live only on the `_into` side.
-    #[test]
-    fn legacy_wrappers_share_the_saturating_path() {
-        let arrivals = [10u64, 20];
-        for bw in [0.0, -1.0, f64::NAN, 1e-300] {
-            let r = allreduce(&arrivals, 5, u64::MAX, bw);
-            assert_eq!(r.completion_ns, u64::MAX);
-            assert_eq!(r.wait_ns, vec![10, 0]);
-        }
-        // Degenerate hop on the barrier wrapper saturates too.
-        let r = barrier(&[u64::MAX, 1], u64::MAX);
-        assert_eq!(r.completion_ns, u64::MAX);
-    }
-
-    /// `Fixed(BinomialTree)` — the default — reproduces the legacy formula
-    /// bit for bit; every committed baseline rests on this.
-    #[test]
-    fn binomial_variant_is_the_legacy_allreduce() {
-        let cases: [(&[u64], u64, u64, f64); 3] = [
-            (&[10, 20, 1000, 30], 2_500, 64, 5.0),
-            (&[7; 9], 400, 1 << 20, 10.0),
-            (&[0, u64::MAX / 2], 12_345, 0, 1.0),
-        ];
-        let mut wait_a = Vec::new();
-        let mut wait_b = Vec::new();
-        for (arrivals, hop, bytes, bw) in cases {
-            let a = allreduce_into(arrivals, hop, bytes, bw, &mut wait_a);
-            let b = allreduce_with_into(
-                CollectiveAlgo::BinomialTree,
-                arrivals,
-                hop,
-                bytes,
-                bw,
-                &mut wait_b,
-            );
-            assert_eq!(a, b);
-            assert_eq!(wait_a, wait_b);
-        }
+        assert_eq!(
+            barrier(&arrivals, 5),
+            allreduce(CollectiveAlgo::BinomialTree, &arrivals, 0, 1.0)
+        );
+        let (c, _) = allreduce(CollectiveAlgo::BinomialTree, &arrivals, 64, 2.0);
+        assert_eq!(c, 1000 + tree_depth(4) as u64 * (5 + 32));
         assert_eq!(
             CollectiveSelect::default(),
             CollectiveSelect::Fixed(CollectiveAlgo::BinomialTree)
@@ -507,16 +378,11 @@ mod tests {
     #[test]
     fn algorithms_share_straggler_waits() {
         let arrivals = [10u64, 20, 1000, 30];
-        let reference = allreduce(&arrivals, 5, 1 << 20, 5.0);
+        let (_, reference) = barrier(&arrivals, 5);
         for algo in CollectiveAlgo::ALL {
-            let r = allreduce_with(algo, &arrivals, 5, 1 << 20, 5.0);
-            assert_eq!(
-                r.wait_ns,
-                reference.wait_ns,
-                "{} waits diverge",
-                algo.name()
-            );
-            assert!(r.completion_ns >= 1000);
+            let (c, wait) = allreduce(algo, &arrivals, 1 << 20, 5.0);
+            assert_eq!(wait, reference, "{} waits diverge", algo.name());
+            assert!(c >= 1000);
         }
     }
 

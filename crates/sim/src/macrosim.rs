@@ -203,7 +203,7 @@ impl SimConfig {
         }
     }
 
-    /// Boundary validation run by [`MacroSim::new`]: reject degenerate
+    /// Boundary validation run by [`MacroSim::try_new`]: reject degenerate
     /// bandwidths and fault multipliers before they can poison the cost
     /// model mid-run. A zero/non-finite `bytes_per_ns` — reachable through a
     /// struct-literal [`crate::faults::FaultEpisode`] with
@@ -432,19 +432,10 @@ pub struct MacroSim {
 }
 
 impl MacroSim {
-    /// Create a simulator from a config.
-    ///
-    /// # Panics
-    /// On an invalid config (see [`SimConfig::validate`]): degenerate
-    /// network bandwidth or malformed fault timeline. Servers hosting many
-    /// tenants use [`MacroSim::try_new`] instead — one bad request must not
-    /// kill the process.
-    pub fn new(config: SimConfig) -> MacroSim {
-        MacroSim::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MacroSim::new`]: an invalid config (see
-    /// [`SimConfig::validate`]) comes back as `Err` instead of a panic.
+    /// Create a simulator from a config. An invalid config (see
+    /// [`SimConfig::validate`]): degenerate network bandwidth or a malformed
+    /// fault timeline, comes back as `Err`; a server hosting many tenants
+    /// must not die on one bad request.
     pub fn try_new(config: SimConfig) -> Result<MacroSim, String> {
         config
             .validate()
@@ -485,24 +476,10 @@ impl MacroSim {
         self.trace = trace;
     }
 
-    /// Run `workload` under `policy`, rebalancing per `trigger`.
-    ///
-    /// # Panics
-    /// If a placement fails (zero ranks, degenerate costs). Servers use
-    /// [`MacroSim::try_run`], which surfaces the failure as `Err`.
-    pub fn run(
-        &mut self,
-        workload: &mut dyn Workload,
-        policy: &dyn PlacementPolicy,
-        trigger: RebalanceTrigger,
-    ) -> RunReport {
-        self.try_run(workload, policy, trigger)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`MacroSim::run`]: initial and mid-run placement failures
-    /// come back as `Err` with the offending step named, leaving the
-    /// simulator reusable, instead of panicking.
+    /// Run `workload` under `policy`, rebalancing per `trigger`. Initial
+    /// and mid-run placement failures (zero ranks, degenerate costs) come
+    /// back as `Err` with the offending step named, leaving the simulator
+    /// reusable.
     pub fn try_run(
         &mut self,
         workload: &mut dyn Workload,
@@ -1263,9 +1240,11 @@ mod tests {
 
     #[test]
     fn phases_sum_to_total() {
-        let mut sim = MacroSim::new(small_config(16));
+        let mut sim = MacroSim::try_new(small_config(16)).unwrap();
         let mut w = StaticWorkload::new(4, 10, 0.5); // 64 blocks, 16 ranks
-        let rep = sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         assert_eq!(rep.steps, 10);
         // Mean-per-rank phases ≈ total virtual time (within redist rounding
         // and tree overheads).
@@ -1279,10 +1258,10 @@ mod tests {
         let mut w2 = StaticWorkload::new(4, 20, 2.0);
         // Force one rebalance so LPT sees measured costs.
         let trig = RebalanceTrigger::MeshChangeOrImbalance(1.01);
-        let mut sim1 = MacroSim::new(small_config(16));
-        let base = sim1.run(&mut w1, &Baseline, trig);
-        let mut sim2 = MacroSim::new(small_config(16));
-        let lpt = sim2.run(&mut w2, &Lpt, trig);
+        let mut sim1 = MacroSim::try_new(small_config(16)).unwrap();
+        let base = sim1.try_run(&mut w1, &Baseline, trig).unwrap();
+        let mut sim2 = MacroSim::try_new(small_config(16)).unwrap();
+        let lpt = sim2.try_run(&mut w2, &Lpt, trig).unwrap();
         assert!(
             lpt.phases.sync_ns < base.phases.sync_ns,
             "LPT sync {} vs baseline {}",
@@ -1299,17 +1278,25 @@ mod tests {
         let trig = RebalanceTrigger::OnMeshChange;
         let mut w1 = StaticWorkload::new(4, 10, 1.0);
         let mut w2 = StaticWorkload::new(4, 10, 1.0);
-        let a = MacroSim::new(small_config(16)).run(&mut w1, &Baseline, trig);
-        let b = MacroSim::new(small_config(16)).run(&mut w2, &Lpt, trig);
+        let a = MacroSim::try_new(small_config(16))
+            .unwrap()
+            .try_run(&mut w1, &Baseline, trig)
+            .unwrap();
+        let b = MacroSim::try_new(small_config(16))
+            .unwrap()
+            .try_run(&mut w2, &Lpt, trig)
+            .unwrap();
         let rel = (a.phases.compute_ns - b.phases.compute_ns).abs() / a.phases.compute_ns;
         assert!(rel < 0.05, "compute differs by {rel}");
     }
 
     #[test]
     fn telemetry_collected_per_phase() {
-        let mut sim = MacroSim::new(small_config(8));
+        let mut sim = MacroSim::try_new(small_config(8)).unwrap();
         let mut w = StaticWorkload::new(2, 5, 0.3); // 8 blocks
-        let rep = sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         use amr_telemetry::Query;
         let t = &rep.telemetry;
         assert!(Query::new(t).phase(Phase::Compute).count() >= 8 * 5);
@@ -1322,10 +1309,15 @@ mod tests {
         let mut cfg = small_config(16); // 4 nodes x 4 ranks
         cfg.faults = crate::faults::FaultConfig::with_throttled_nodes([1]).into();
         let mut w1 = StaticWorkload::new(4, 10, 0.0);
-        let rep_faulty = MacroSim::new(cfg).run(&mut w1, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep_faulty = MacroSim::try_new(cfg)
+            .unwrap()
+            .try_run(&mut w1, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         let mut w2 = StaticWorkload::new(4, 10, 0.0);
-        let rep_ok =
-            MacroSim::new(small_config(16)).run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep_ok = MacroSim::try_new(small_config(16))
+            .unwrap()
+            .try_run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         assert!(rep_faulty.phases.sync_ns > 2.0 * rep_ok.phases.sync_ns);
         assert!(rep_faulty.total_ns > rep_ok.total_ns);
     }
@@ -1342,9 +1334,15 @@ mod tests {
         };
         let trig = RebalanceTrigger::OnMeshChange;
         let mut w1 = StaticWorkload::new(4, steps, 0.5);
-        let obliv = MacroSim::new(mk(FaultResponse::Oblivious)).run(&mut w1, &Lpt, trig);
+        let obliv = MacroSim::try_new(mk(FaultResponse::Oblivious))
+            .unwrap()
+            .try_run(&mut w1, &Lpt, trig)
+            .unwrap();
         let mut w2 = StaticWorkload::new(4, steps, 0.5);
-        let rew = MacroSim::new(mk(FaultResponse::Reweight)).run(&mut w2, &Lpt, trig);
+        let rew = MacroSim::try_new(mk(FaultResponse::Reweight))
+            .unwrap()
+            .try_run(&mut w2, &Lpt, trig)
+            .unwrap();
         // The flag must rise after onset and clear after recovery.
         assert!(
             rew.capacity_updates >= 2,
@@ -1378,9 +1376,15 @@ mod tests {
         };
         let trig = RebalanceTrigger::OnMeshChange;
         let mut w1 = StaticWorkload::new(4, steps, 0.5);
-        let obliv = MacroSim::new(mk(FaultResponse::Oblivious, 0)).run(&mut w1, &Lpt, trig);
+        let obliv = MacroSim::try_new(mk(FaultResponse::Oblivious, 0))
+            .unwrap()
+            .try_run(&mut w1, &Lpt, trig)
+            .unwrap();
         let mut w2 = StaticWorkload::new(4, steps, 0.5);
-        let prune = MacroSim::new(mk(FaultResponse::PruneAndMigrate, 1)).run(&mut w2, &Lpt, trig);
+        let prune = MacroSim::try_new(mk(FaultResponse::PruneAndMigrate, 1))
+            .unwrap()
+            .try_run(&mut w2, &Lpt, trig)
+            .unwrap();
         assert_eq!(prune.nodes_pruned, 1);
         assert!(prune.blocks_migrated > 0);
         assert!(
@@ -1391,7 +1395,10 @@ mod tests {
         );
         // With no spares the response degrades to reweighting, not a panic.
         let mut w3 = StaticWorkload::new(4, steps, 0.5);
-        let starved = MacroSim::new(mk(FaultResponse::PruneAndMigrate, 0)).run(&mut w3, &Lpt, trig);
+        let starved = MacroSim::try_new(mk(FaultResponse::PruneAndMigrate, 0))
+            .unwrap()
+            .try_run(&mut w3, &Lpt, trig)
+            .unwrap();
         assert_eq!(starved.nodes_pruned, 0);
         assert!(starved.capacity_updates >= 1);
         assert!(starved.total_ns < obliv.total_ns);
@@ -1454,9 +1461,11 @@ mod tests {
     fn flux_correction_recorded_on_refined_meshes() {
         // A refined mesh has fine-coarse face pairs; flux telemetry must
         // appear. A uniform mesh has none.
-        let mut sim = MacroSim::new(small_config(8));
+        let mut sim = MacroSim::try_new(small_config(8)).unwrap();
         let mut w = RefiningWorkload::new(6, 1);
-        let rep = sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         use amr_telemetry::Query;
         assert!(
             Query::new(&rep.telemetry)
@@ -1466,9 +1475,11 @@ mod tests {
             "no flux records after refinement"
         );
 
-        let mut sim2 = MacroSim::new(small_config(8));
+        let mut sim2 = MacroSim::try_new(small_config(8)).unwrap();
         let mut w2 = StaticWorkload::new(2, 6, 0.0); // uniform mesh
-        let rep2 = sim2.run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep2 = sim2
+            .try_run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         assert_eq!(
             Query::new(&rep2.telemetry)
                 .phase(Phase::FluxCorrection)
@@ -1479,9 +1490,11 @@ mod tests {
 
     #[test]
     fn mesh_change_triggers_redistribution() {
-        let mut sim = MacroSim::new(small_config(8));
+        let mut sim = MacroSim::try_new(small_config(8)).unwrap();
         let mut w = RefiningWorkload::new(6, 3);
-        let rep = sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         assert_eq!(rep.mesh_change_steps, 1);
         assert!(rep.lb_invocations >= 1);
         assert!(rep.final_blocks > rep.initial_blocks);
@@ -1491,14 +1504,18 @@ mod tests {
 
     #[test]
     fn placement_wall_time_tracked() {
-        let mut sim = MacroSim::new(small_config(8));
+        let mut sim = MacroSim::try_new(small_config(8)).unwrap();
         let mut w = StaticWorkload::new(2, 3, 0.1);
-        let rep = sim.run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+        let rep = sim
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .unwrap();
         // Initial placement happens outside run's wall tracking; with no mesh
         // change there may be no invocation — force one with Periodic.
-        let mut sim2 = MacroSim::new(small_config(8));
+        let mut sim2 = MacroSim::try_new(small_config(8)).unwrap();
         let mut w2 = StaticWorkload::new(2, 3, 0.1);
-        let rep2 = sim2.run(&mut w2, &Baseline, RebalanceTrigger::Periodic(1));
+        let rep2 = sim2
+            .try_run(&mut w2, &Baseline, RebalanceTrigger::Periodic(1))
+            .unwrap();
         assert!(rep2.lb_invocations >= 3);
         assert!(rep2.placement_wall_max_ns > 0);
         assert!(rep.placement_within_budget(50_000_000));
@@ -1524,7 +1541,10 @@ mod knob_tests {
             let mut cfg = cfg16();
             cfg.exchanges_per_step = xs;
             let mut w = StaticWorkload::new(4, 10, 0.5);
-            let rep = MacroSim::new(cfg).run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+            let rep = MacroSim::try_new(cfg)
+                .unwrap()
+                .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .unwrap();
             assert!(
                 rep.phases.comm_ns > prev,
                 "comm did not grow with exchanges: {} vs {}",
@@ -1542,7 +1562,10 @@ mod knob_tests {
             let mut cfg = cfg16();
             cfg.send_coupling = coupling;
             let mut w = StaticWorkload::new(4, 10, 2.0);
-            let rep = MacroSim::new(cfg).run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+            let rep = MacroSim::try_new(cfg)
+                .unwrap()
+                .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .unwrap();
             assert!(
                 rep.phases.comm_ns >= prev,
                 "comm fell as coupling rose: {} < {}",
@@ -1563,7 +1586,10 @@ mod knob_tests {
             cfg.send_coupling = 1.0;
             cfg.overlap_efficiency = overlap;
             let mut w = StaticWorkload::new(4, 10, 2.0);
-            let rep = MacroSim::new(cfg).run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+            let rep = MacroSim::try_new(cfg)
+                .unwrap()
+                .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .unwrap();
             assert!(
                 rep.total_ns <= prev * 1.0001,
                 "total rose with masking: {} vs {}",
@@ -1580,8 +1606,10 @@ mod knob_tests {
             let mut cfg = cfg16();
             cfg.exchanges_per_step = xs;
             let mut w = StaticWorkload::new(4, 10, 0.0);
-            MacroSim::new(cfg)
-                .run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            MacroSim::try_new(cfg)
+                .unwrap()
+                .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+                .unwrap()
                 .messages
                 .mpi()
         };
@@ -1594,7 +1622,6 @@ mod knob_tests {
     /// allreduce completion in debug builds. The boundary check now rejects
     /// the config before the run starts.
     #[test]
-    #[should_panic(expected = "nic_bandwidth_mult")]
     fn zero_nic_bandwidth_multiplier_is_rejected_at_construction() {
         let mut cfg = cfg16();
         cfg.faults.episodes.push(crate::faults::FaultEpisode {
@@ -1604,42 +1631,23 @@ mod knob_tests {
             throttle_factor: 1.0,
             nic_bandwidth_mult: 0.0,
         });
-        let _ = MacroSim::new(cfg);
+        let err = MacroSim::try_new(cfg)
+            .err()
+            .expect("zero NIC multiplier accepted");
+        assert!(err.contains("nic_bandwidth_mult"), "{err}");
     }
 
+    /// The constructor returns the rejection as `Err` instead of panicking:
+    /// one bad request must not kill a process hosting many sessions.
     #[test]
-    #[should_panic(expected = "bytes_per_ns")]
     fn zero_fabric_bandwidth_is_rejected_at_construction() {
         let mut cfg = cfg16();
         cfg.network.fabric.bytes_per_ns = 0.0;
-        let _ = MacroSim::new(cfg);
-    }
-
-    /// The service-facing constructor returns the same rejection as `Err`
-    /// instead of panicking — one bad request must not kill a process
-    /// hosting many sessions — and a `try_new` simulator runs identically
-    /// to a `new` one.
-    #[test]
-    fn try_new_rejects_without_panicking_and_runs_identically() {
-        use amr_core::policies::Lpt;
-        let mut bad = cfg16();
-        bad.network.fabric.bytes_per_ns = 0.0;
-        let Err(err) = MacroSim::try_new(bad) else {
-            panic!("degenerate bandwidth accepted");
-        };
+        let err = MacroSim::try_new(cfg)
+            .err()
+            .expect("degenerate bandwidth accepted");
         assert!(err.contains("invalid SimConfig"), "{err}");
         assert!(err.contains("bytes_per_ns"), "{err}");
-
-        let trig = RebalanceTrigger::OnMeshChange;
-        let mut w1 = StaticWorkload::new(4, 10, 1.0);
-        let base = MacroSim::new(cfg16()).run(&mut w1, &Lpt, trig);
-        let mut w2 = StaticWorkload::new(4, 10, 1.0);
-        let fallible = MacroSim::try_new(cfg16())
-            .unwrap()
-            .try_run(&mut w2, &Lpt, trig)
-            .unwrap();
-        assert_eq!(fallible.total_ns.to_bits(), base.total_ns.to_bits());
-        assert_eq!(fallible.messages, base.messages);
     }
 
     /// Tracing observes without perturbing, and the artifacts are populated:
@@ -1651,12 +1659,15 @@ mod knob_tests {
         use amr_telemetry::trace::{chrome_trace_json, collapsed_stacks};
         let trig = RebalanceTrigger::OnMeshChange;
         let mut w1 = StaticWorkload::new(4, 10, 1.0);
-        let base = MacroSim::new(cfg16()).run(&mut w1, &Lpt, trig);
+        let base = MacroSim::try_new(cfg16())
+            .unwrap()
+            .try_run(&mut w1, &Lpt, trig)
+            .unwrap();
         let mut w2 = StaticWorkload::new(4, 10, 1.0);
-        let mut sim = MacroSim::new(cfg16());
+        let mut sim = MacroSim::try_new(cfg16()).unwrap();
         let handle = TraceHandle::new(1024);
         sim.set_trace(Some(handle.clone()));
-        let traced = sim.run(&mut w2, &Lpt, trig);
+        let traced = sim.try_run(&mut w2, &Lpt, trig).unwrap();
         assert_eq!(
             traced.phases.sync_ns.to_bits(),
             base.phases.sync_ns.to_bits()
@@ -1716,10 +1727,16 @@ mod knob_tests {
         };
         for shards in [0usize, 3] {
             let mut w = RefiningWorkload::new(12, 4);
-            let base = MacroSim::new(mk(shards, 1)).run(&mut w, &Lpt, trig);
+            let base = MacroSim::try_new(mk(shards, 1))
+                .unwrap()
+                .try_run(&mut w, &Lpt, trig)
+                .unwrap();
             for threads in [2usize, 4] {
                 let mut w = RefiningWorkload::new(12, 4);
-                let rep = MacroSim::new(mk(shards, threads)).run(&mut w, &Lpt, trig);
+                let rep = MacroSim::try_new(mk(shards, threads))
+                    .unwrap()
+                    .try_run(&mut w, &Lpt, trig)
+                    .unwrap();
                 assert_eq!(
                     rep.phases.compute_ns.to_bits(),
                     base.phases.compute_ns.to_bits(),
@@ -1762,12 +1779,15 @@ mod knob_tests {
             cfg
         };
         let mut w1 = StaticWorkload::new(4, 8, 1.0);
-        let base = MacroSim::new(mk()).run(&mut w1, &Lpt, trig);
+        let base = MacroSim::try_new(mk())
+            .unwrap()
+            .try_run(&mut w1, &Lpt, trig)
+            .unwrap();
         let mut w2 = StaticWorkload::new(4, 8, 1.0);
-        let mut sim = MacroSim::new(mk());
+        let mut sim = MacroSim::try_new(mk()).unwrap();
         let handle = TraceHandle::new(1024);
         sim.set_trace(Some(handle.clone()));
-        let traced = sim.run(&mut w2, &Lpt, trig);
+        let traced = sim.try_run(&mut w2, &Lpt, trig).unwrap();
         assert_eq!(traced.total_ns.to_bits(), base.total_ns.to_bits());
         assert_eq!(
             traced.phases.comm_ns.to_bits(),
@@ -1844,12 +1864,18 @@ mod knob_tests {
     fn idle_credit_window_is_bit_identical_to_disabled() {
         let trig = RebalanceTrigger::OnMeshChange;
         let mut w1 = StaticWorkload::new(4, 10, 1.0);
-        let base = MacroSim::new(cfg16()).run(&mut w1, &Baseline, trig);
+        let base = MacroSim::try_new(cfg16())
+            .unwrap()
+            .try_run(&mut w1, &Baseline, trig)
+            .unwrap();
         let mut cfg = cfg16();
         cfg.network.fabric_credit_bytes = u64::MAX - 1; // enabled, unreachable
         cfg.network.congestion_backoff = 4.0;
         let mut w2 = StaticWorkload::new(4, 10, 1.0);
-        let idle = MacroSim::new(cfg).run(&mut w2, &Baseline, trig);
+        let idle = MacroSim::try_new(cfg)
+            .unwrap()
+            .try_run(&mut w2, &Baseline, trig)
+            .unwrap();
         assert_eq!(idle.total_ns.to_bits(), base.total_ns.to_bits());
         assert_eq!(idle.phases.comm_ns.to_bits(), base.phases.comm_ns.to_bits());
         assert_eq!(idle.phases.sync_ns.to_bits(), base.phases.sync_ns.to_bits());
@@ -1868,7 +1894,10 @@ mod knob_tests {
                 cfg.network.congestion_backoff = 2.0;
             }
             let mut w = StaticWorkload::new(4, 10, 0.5);
-            MacroSim::new(cfg).run(&mut w, &Baseline, trig)
+            MacroSim::try_new(cfg)
+                .unwrap()
+                .try_run(&mut w, &Baseline, trig)
+                .unwrap()
         };
         let off = run(0);
         let loose = run(1 << 22);
@@ -1901,11 +1930,11 @@ mod knob_tests {
             cfg
         };
         let mut w1 = StaticWorkload::new(4, 20, 2.0);
-        let mut fixed_sim = MacroSim::new(mk(CollectiveSelect::default()));
-        let fixed = fixed_sim.run(&mut w1, &Baseline, trig);
+        let mut fixed_sim = MacroSim::try_new(mk(CollectiveSelect::default())).unwrap();
+        let fixed = fixed_sim.try_run(&mut w1, &Baseline, trig).unwrap();
         let mut w2 = StaticWorkload::new(4, 20, 2.0);
-        let mut adaptive_sim = MacroSim::new(mk(CollectiveSelect::Adaptive));
-        let adaptive = adaptive_sim.run(&mut w2, &Baseline, trig);
+        let mut adaptive_sim = MacroSim::try_new(mk(CollectiveSelect::Adaptive)).unwrap();
+        let adaptive = adaptive_sim.try_run(&mut w2, &Baseline, trig).unwrap();
         // The skewed static mesh keeps measured sync share above threshold...
         let sf = adaptive_sim.feedback().gauge(TraceGauge::SyncFraction);
         assert!(sf > ADAPTIVE_SYNC_THRESHOLD, "sync fraction only {sf}");
@@ -1944,10 +1973,16 @@ mod knob_tests {
             cfg
         };
         let mut w = RefiningWorkload::new(12, 4);
-        let base = MacroSim::new(mk(1)).run(&mut w, &Lpt, trig);
+        let base = MacroSim::try_new(mk(1))
+            .unwrap()
+            .try_run(&mut w, &Lpt, trig)
+            .unwrap();
         for threads in [2usize, 4] {
             let mut w = RefiningWorkload::new(12, 4);
-            let rep = MacroSim::new(mk(threads)).run(&mut w, &Lpt, trig);
+            let rep = MacroSim::try_new(mk(threads))
+                .unwrap()
+                .try_run(&mut w, &Lpt, trig)
+                .unwrap();
             assert_eq!(
                 rep.phases.compute_ns.to_bits(),
                 base.phases.compute_ns.to_bits(),

@@ -38,12 +38,14 @@ fn main() {
         let mut workload = SedovWorkload::new(SedovConfig::new(mesh, steps));
         let mut cfg = SimConfig::tuned(ranks);
         cfg.telemetry_sampling = 8;
-        let mut sim = MacroSim::new(cfg);
-        let rep = sim.run(
-            &mut workload,
-            policy.as_ref(),
-            RebalanceTrigger::OnMeshChange,
-        );
+        let mut sim = MacroSim::try_new(cfg).expect("valid SimConfig");
+        let rep = sim
+            .try_run(
+                &mut workload,
+                policy.as_ref(),
+                RebalanceTrigger::OnMeshChange,
+            )
+            .expect("macrosim run");
         let base = *base_total.get_or_insert(rep.total_ns);
         println!(
             "{:<10} {:>8.2}s {:>8.2}s {:>8.2}s {:>8.2}s {:>8.2}s {:>+6.1}%",

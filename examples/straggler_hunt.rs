@@ -29,7 +29,10 @@ fn main() {
     let mut cfg = SimConfig::tuned(ranks);
     cfg.faults = FaultConfig::with_throttled_nodes([2]).into();
     cfg.telemetry_sampling = 1;
-    let report = MacroSim::new(cfg).run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange);
+    let report = MacroSim::try_new(cfg)
+        .expect("valid SimConfig")
+        .try_run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange)
+        .expect("macrosim run");
     let table = &report.telemetry;
     println!(
         "run complete: {} steps, {} telemetry rows\n",

@@ -33,7 +33,10 @@ fn main() {
     let run = |cfg: SimConfig| {
         let mesh = MeshConfig::from_cells(Dim::D3, (64, 64, 64), 1);
         let mut w = CoolingWorkload::new(CoolingConfig::new(mesh, 100));
-        MacroSim::new(cfg).run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+        MacroSim::try_new(cfg)
+            .expect("valid SimConfig")
+            .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+            .expect("macrosim run")
     };
     let report = run(cfg.clone());
     println!(

@@ -15,7 +15,10 @@ fn sedov_run(policy: &dyn PlacementPolicy, ranks: usize, steps: u64, seed: u64) 
     let mut cfg = SimConfig::tuned(ranks);
     cfg.seed = seed;
     cfg.telemetry_sampling = 4;
-    MacroSim::new(cfg).run(&mut workload, policy, RebalanceTrigger::OnMeshChange)
+    MacroSim::try_new(cfg)
+        .unwrap()
+        .try_run(&mut workload, policy, RebalanceTrigger::OnMeshChange)
+        .unwrap()
 }
 
 #[test]
@@ -92,11 +95,16 @@ fn throttled_run_slower_and_diagnosable_from_telemetry() {
     let mut cfg = SimConfig::tuned(64);
     cfg.faults = FaultConfig::with_throttled_nodes([1]).into();
     cfg.telemetry_sampling = 1;
-    let faulty = MacroSim::new(cfg).run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange);
+    let faulty = MacroSim::try_new(cfg)
+        .unwrap()
+        .try_run(&mut w, &Baseline, RebalanceTrigger::OnMeshChange)
+        .unwrap();
 
     let mut w2 = SedovWorkload::new(SedovConfig::new(mesh, 100));
-    let healthy =
-        MacroSim::new(SimConfig::tuned(64)).run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange);
+    let healthy = MacroSim::try_new(SimConfig::tuned(64))
+        .unwrap()
+        .try_run(&mut w2, &Baseline, RebalanceTrigger::OnMeshChange)
+        .unwrap();
     assert!(faulty.total_ns > 1.5 * healthy.total_ns);
 
     let per_rank = Query::new(&faulty.telemetry)
@@ -128,8 +136,10 @@ fn two_dimensional_pipeline_works_end_to_end() {
     let mut workload = SedovWorkload::new(SedovConfig::new(mesh, 150));
     let mut cfg = SimConfig::tuned(32);
     cfg.telemetry_sampling = 8;
-    let base =
-        MacroSim::new(cfg.clone()).run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange);
+    let base = MacroSim::try_new(cfg.clone())
+        .unwrap()
+        .try_run(&mut workload, &Baseline, RebalanceTrigger::OnMeshChange)
+        .unwrap();
     assert!(
         base.final_blocks > base.initial_blocks,
         "2D mesh never refined"
@@ -138,11 +148,14 @@ fn two_dimensional_pipeline_works_end_to_end() {
 
     let mesh = MeshConfig::from_cells(Dim::D2, (128, 128, 0), 1);
     let mut workload = SedovWorkload::new(SedovConfig::new(mesh, 150));
-    let cplx = MacroSim::new(cfg).run(
-        &mut workload,
-        &Cplx::new(50),
-        RebalanceTrigger::OnMeshChange,
-    );
+    let cplx = MacroSim::try_new(cfg)
+        .unwrap()
+        .try_run(
+            &mut workload,
+            &Cplx::new(50),
+            RebalanceTrigger::OnMeshChange,
+        )
+        .unwrap();
     assert!(
         cplx.total_ns < base.total_ns,
         "2D: cplx {} vs baseline {}",

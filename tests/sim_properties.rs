@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator (amr-sim): monotonicity and
 //! conservation laws that must hold regardless of workload or placement.
 
-use amr_tools::sim::collectives::{barrier, tree_depth};
+use amr_tools::sim::collectives::{barrier_into, tree_depth};
 use amr_tools::sim::{
     FaultConfig, FaultEpisode, FaultResponse, FaultTimeline, MacroSim, Message, MicroSim,
     NetworkConfig, RoundSpec, RunReport, SimConfig, TaskOrder, Topology,
@@ -102,19 +102,20 @@ proptest! {
     #[test]
     fn barrier_waits_are_consistent(arrivals in prop::collection::vec(0u64..1_000_000, 1..128),
                                     hop in 0u64..10_000) {
-        let res = barrier(&arrivals, hop);
+        let mut wait = Vec::new();
+        let completion = barrier_into(&arrivals, hop, &mut wait);
         let last = *arrivals.iter().max().unwrap();
         // Completion still includes the tree term...
-        prop_assert_eq!(res.completion_ns, last + tree_depth(arrivals.len()) as u64 * hop);
+        prop_assert_eq!(completion, last + tree_depth(arrivals.len()) as u64 * hop);
         // ...but wait is idle time before the straggler arrives: the tree
         // hops are every rank's own work, charged to no one's wait.
-        for (a, w) in arrivals.iter().zip(&res.wait_ns) {
+        for (a, w) in arrivals.iter().zip(&wait) {
             prop_assert_eq!(a + w, last);
         }
         // The straggler itself never waits.
         let argmax = arrivals.iter().position(|&a| a == last).unwrap();
-        prop_assert_eq!(res.wait_ns[argmax], 0);
-        prop_assert_eq!(res.total_wait_ns(),
+        prop_assert_eq!(wait[argmax], 0);
+        prop_assert_eq!(wait.iter().sum::<u64>(),
             arrivals.iter().map(|&a| last - a).sum::<u64>());
     }
 }
@@ -241,9 +242,10 @@ fn fault_run_traced(
     cfg.telemetry_sampling = 4;
     cfg.faults = faults;
     cfg.fault_response = response;
-    let mut sim = MacroSim::new(cfg);
+    let mut sim = MacroSim::try_new(cfg).unwrap();
     sim.set_trace(trace);
-    sim.run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+    sim.try_run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+        .unwrap()
 }
 
 /// Healthy Sedov run with the mesh topology partitioned into `num_shards`
@@ -259,8 +261,9 @@ fn sharded_run(ranks: usize, steps: u64, seed: u64, num_shards: usize) -> RunRep
     cfg.seed = seed;
     cfg.telemetry_sampling = 4;
     cfg.num_shards = num_shards;
-    let mut sim = MacroSim::new(cfg);
-    sim.run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+    let mut sim = MacroSim::try_new(cfg).unwrap();
+    sim.try_run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+        .unwrap()
 }
 
 /// Sedov run with the full multi-core surface dialed in: `threads` worker
@@ -296,8 +299,9 @@ fn parallel_run(
     cfg.threads = threads;
     cfg.faults = faults;
     cfg.fault_response = response;
-    let mut sim = MacroSim::new(cfg);
-    sim.run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+    let mut sim = MacroSim::try_new(cfg).unwrap();
+    sim.try_run(&mut workload, &Lpt, RebalanceTrigger::OnMeshChange)
+        .unwrap()
 }
 
 /// Untraced convenience wrapper over [`fault_run_traced`].
@@ -562,12 +566,14 @@ fn ledger_run(
     cfg.telemetry_sampling = 4;
     cfg.observe_exchange_bytes = observe;
     cfg.threads = threads;
-    let mut sim = MacroSim::new(cfg);
+    let mut sim = MacroSim::try_new(cfg).unwrap();
     if policy_ml {
         let ml = Multilevel::default();
-        sim.run(&mut workload, &ml, RebalanceTrigger::Periodic(3))
+        sim.try_run(&mut workload, &ml, RebalanceTrigger::Periodic(3))
+            .unwrap()
     } else {
-        sim.run(&mut workload, &Lpt, RebalanceTrigger::Periodic(3))
+        sim.try_run(&mut workload, &Lpt, RebalanceTrigger::Periodic(3))
+            .unwrap()
     }
 }
 

@@ -18,11 +18,14 @@ fn run(workload: &mut dyn Workload, policy: &dyn PlacementPolicy, seed: u64) -> 
     // Slowly adapting workloads (the interface sheet) can go many steps
     // without a mesh change; an imbalance-aware trigger keeps the placement
     // tracking measured costs (see `ablation_trigger`).
-    MacroSim::new(cfg).run(
-        workload,
-        policy,
-        RebalanceTrigger::MeshChangeOrImbalance(1.3),
-    )
+    MacroSim::try_new(cfg)
+        .unwrap()
+        .try_run(
+            workload,
+            policy,
+            RebalanceTrigger::MeshChangeOrImbalance(1.3),
+        )
+        .unwrap()
 }
 
 fn mesh() -> MeshConfig {
@@ -111,10 +114,14 @@ fn telemetry_volume_scales_with_sampling() {
     cfg_dense.telemetry_sampling = 1;
     let mut cfg_sparse = SimConfig::tuned(RANKS);
     cfg_sparse.telemetry_sampling = 16;
-    let dense =
-        MacroSim::new(cfg_dense).run(dense_w.as_mut(), &Baseline, RebalanceTrigger::OnMeshChange);
-    let sparse =
-        MacroSim::new(cfg_sparse).run(sparse_w.as_mut(), &Baseline, RebalanceTrigger::OnMeshChange);
+    let dense = MacroSim::try_new(cfg_dense)
+        .unwrap()
+        .try_run(dense_w.as_mut(), &Baseline, RebalanceTrigger::OnMeshChange)
+        .unwrap();
+    let sparse = MacroSim::try_new(cfg_sparse)
+        .unwrap()
+        .try_run(sparse_w.as_mut(), &Baseline, RebalanceTrigger::OnMeshChange)
+        .unwrap();
     // Sampling-1 vs sampling-16 should differ by roughly 16x in rows while
     // leaving virtual results identical.
     let ratio = dense.telemetry.len() as f64 / sparse.telemetry.len() as f64;
